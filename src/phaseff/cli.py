@@ -335,7 +335,8 @@ def _render(obj, fmt: str) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     """Write the whole rendering or nothing: build to a temp file in the
-    target directory, then atomically replace."""
+    target directory, then atomically replace.  The file gets the mode a
+    plain open() would give it (0o666 less the umask), not mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".phaseff-", suffix=".tmp")
@@ -343,6 +344,9 @@ def _atomic_write(path: str, text: str) -> None:
         raise OSError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w") as handle:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp_path, path)
     except BaseException as exc:

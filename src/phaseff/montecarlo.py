@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import signal as _signal
 
 from .algebra import NoiseMode
 from .network import NetworkParams, spectrum_from_modes
@@ -53,6 +52,11 @@ class BandpassKernel:
 
 
 Kernel = Union[FlatKernel, BandpassKernel]
+
+
+def _is_uint64(value) -> bool:
+    """A Philox key word: an int (not a bool) in [0, 2^64)."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
 
 
 @dataclass(frozen=True)
@@ -99,7 +103,7 @@ class SimConfig:
             self.kernel.center_hz >= self.sample_rate / 2.0
         ):
             raise ValueError("bandpass center must lie below Nyquist")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not _is_uint64(self.seed):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
     @property
@@ -110,7 +114,7 @@ class SimConfig:
 def _substream(seed: int, trial: int) -> np.random.Generator:
     """Counter-based generator keyed on (seed, trial): distinct trials give
     independent streams without sequential state."""
-    if not (isinstance(trial, int) and 0 <= trial < 2**64):
+    if not _is_uint64(trial):
         raise ValueError(f"trial must be an integer in [0, 2^64), got {trial!r}")
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
@@ -140,7 +144,9 @@ def apply_kernel(
 
     The flat kernel is a pure scale by the network gain.  The bandpass kernel
     is a causal IIR resonator (scipy's peak filter), so its output at sample
-    n depends only on samples <= n.
+    n depends only on samples <= n.  scipy is needed only for the bandpass
+    kernel: scipy.signal is imported on its first use, so importing phaseff
+    and flat-kernel runs load numpy alone.
     """
     photocurrent = np.asarray(photocurrent, dtype=float)
     if isinstance(kernel, FlatKernel):
@@ -148,9 +154,11 @@ def apply_kernel(
             raise ValueError("flat kernel needs a real gain")
         return params.gain.real * photocurrent
     if isinstance(kernel, BandpassKernel):
+        from scipy import signal
+
         q_factor = kernel.center_hz / kernel.bandwidth_hz
-        b, a = _signal.iirpeak(kernel.center_hz, q_factor, fs=sample_rate)
-        return kernel.gain * _signal.lfilter(b, a, photocurrent)
+        b, a = signal.iirpeak(kernel.center_hz, q_factor, fs=sample_rate)
+        return kernel.gain * signal.lfilter(b, a, photocurrent)
     raise TypeError(f"unknown kernel type {type(kernel).__name__}")
 
 

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -251,6 +253,19 @@ class TestEmitAndLoad:
         emit(trace, str(a), "csv")
         emit(trace, str(b), "csv")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"]
+    )
+    def test_file_mode_follows_umask(self, tmp_path, umask, mode):
+        out = tmp_path / "report.json"
+        previous = os.umask(umask)
+        try:
+            emit({"a": 1.0}, str(out), "json")
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode
+        assert out.read_text() == '{\n  "a": 1.0\n}\n'
 
     def test_trace_csv_roundtrip(self, tmp_path):
         trace = run_sweep(BENCH, n_points=91, detected=True)

@@ -53,7 +53,7 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="real gain"):
             config_for(p)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, False])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError):
             config_for(make_params(), seed=seed)
@@ -71,6 +71,11 @@ class TestStreams:
         b = simulate_streams(cfg, trial=3)
         assert np.array_equal(a.amplitude, b.amplitude)
         assert np.array_equal(a.phase, b.phase)
+
+    @pytest.mark.parametrize("trial", [-1, 2**64, 1.5, True, False])
+    def test_bad_trial_rejected(self, trial):
+        with pytest.raises(ValueError, match="trial"):
+            simulate_streams(config_for(make_params()), trial=trial)
 
     def test_trials_differ(self):
         cfg = config_for(make_params(), seed=42)
