@@ -31,37 +31,27 @@ class NoiseMode(Enum):
     DETECTOR_VACUUM_2 = "detector_vacuum_2"
 
 
-def _as_finite_complex(value: complex, label: str) -> complex:
-    z = complex(value)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"non-finite coefficient for {label}: {value!r}")
-    return z
-
-
 @dataclass(frozen=True)
 class QuadratureExpansion:
     """A quadrature observable as a weighted sum of noise modes.
 
     Exact-zero coefficients are dropped on construction, so mode membership
-    in ``coefficients`` means "this source contributes".  ``frequency_hz`` is
-    bookkeeping only; it never enters the algebra, but combining expansions
-    taken at different frequencies is refused.
+    in ``coefficients`` means "this source contributes".
     """
 
     coefficients: Mapping[NoiseMode, complex]
-    frequency_hz: float = 0.0
 
     def __post_init__(self) -> None:
         cleaned: dict[NoiseMode, complex] = {}
         for mode, value in self.coefficients.items():
             if not isinstance(mode, NoiseMode):
                 raise ValueError(f"expansion key {mode!r} is not a NoiseMode")
-            z = _as_finite_complex(value, mode.value)
+            z = complex(value)
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise ValueError(f"non-finite coefficient for {mode.value}: {value!r}")
             if z != 0:
                 cleaned[mode] = z
         object.__setattr__(self, "coefficients", cleaned)
-        if not math.isfinite(self.frequency_hz):
-            raise ValueError("frequency_hz must be finite")
 
     def coefficient(self, mode: NoiseMode) -> complex:
         """Weight of one mode, 0 if the mode does not contribute."""
@@ -92,26 +82,6 @@ class SourceVariances:
         table = {mode: 1.0 for mode in NoiseMode}
         table[NoiseMode.INPUT_PHASE] = float(input_phase)
         return cls(table)
-
-
-def scale_add(
-    a: QuadratureExpansion,
-    ca: complex,
-    b: QuadratureExpansion,
-    cb: complex,
-) -> QuadratureExpansion:
-    """Linear combination ca*a + cb*b, coefficient by coefficient."""
-    if a.frequency_hz != b.frequency_hz:
-        raise ValueError(
-            f"frequency mismatch: {a.frequency_hz} Hz vs {b.frequency_hz} Hz"
-        )
-    ca = _as_finite_complex(ca, "ca")
-    cb = _as_finite_complex(cb, "cb")
-    combined = {
-        mode: ca * a.coefficient(mode) + cb * b.coefficient(mode)
-        for mode in set(a.coefficients) | set(b.coefficients)
-    }
-    return QuadratureExpansion(combined, a.frequency_hz)
 
 
 def variance_of(expansion: QuadratureExpansion, sources: SourceVariances) -> float:

@@ -199,7 +199,8 @@ def fit_gain(
     Residuals are taken in linear variance units against the chosen formula,
     with all parameters except the gain pinned to `params`.  A coarse grid
     over [0, k_max] brackets the minimum, then golden-section search narrows
-    it to `tol` (absolute in the gain).  If the trace was recorded through
+    it to `tol` (absolute in the gain).  A minimum at the k_max end of the
+    grid is an error, not a fit.  If the trace was recorded through
     the verification stage (trace.detected), the model is read the same way.
     """
     if len(trace) < 8:
@@ -227,6 +228,11 @@ def fit_gain(
     grid = np.linspace(0.0, k_max, 201)
     values = [objective(k) for k in grid]
     best = int(np.argmin(values))
+    if best == grid.size - 1:
+        raise ValueError(
+            f"the best gain on the [0, {k_max:g}] grid is its bound k_max={k_max:g}: "
+            "the trace's gain lies beyond the bracket, so there is no fit to report"
+        )
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     k_fit, iterations = _golden_section_min(objective, lo, hi, tol)

@@ -18,13 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import (
-    NoiseMode,
-    QuadratureExpansion,
-    SourceVariances,
-    linear_from_db,
-    variance_of,
-)
+from .algebra import NoiseMode, QuadratureExpansion, linear_from_db
 
 
 @dataclass(frozen=True)
@@ -70,33 +64,64 @@ class NetworkParams:
         return replace(self, gain=complex(gain))
 
 
-def output_expansion(params: NetworkParams, phi: float) -> QuadratureExpansion:
-    """Output-beam quadrature at analysis angle phi, mode by mode.
+def mode_coefficients(params: NetworkParams) -> np.ndarray:
+    """Weight of every noise mode in the two output quadratures.
 
-    The amplitude projection (cos phi) sees only the passive beamsplitter.
-    The phase projection (sin phi) additionally carries the fed-forward
-    photocurrent: the tapped input phase, the tap vacuum it beats against,
-    the homodyne mode-mismatch vacuum, and the two balanced-detector vacua.
+    The model's one table: a complex (2, 7) array whose row 0 is the
+    amplitude quadrature and row 1 the phase quadrature, with columns in
+    NoiseMode order.  The amplitude row sees only the passive beamsplitter.
+    The phase row additionally carries the fed-forward photocurrent: the
+    tapped input phase, the tap vacuum it beats against, the homodyne
+    mode-mismatch vacuum, and the two balanced-detector vacua.  The output
+    quadrature at angle phi is cos(phi) * row 0 + sin(phi) * row 1.
     """
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
     eps = params.epsilon
     eh, ed = params.eta_h1, params.eta_d1
     k = params.gain
-    c, s = math.cos(phi), math.sin(phi)
-    root2 = math.sqrt(2.0)
-    return QuadratureExpansion(
-        {
-            NoiseMode.INPUT_AMPLITUDE: math.sqrt(eps) * c,
-            NoiseMode.INPUT_PHASE: s * (math.sqrt(eps) + k * math.sqrt(eh * ed * (1.0 - eps))),
-            NoiseMode.TAP_VACUUM_AMPLITUDE: -math.sqrt(1.0 - eps) * c,
-            NoiseMode.TAP_VACUUM_PHASE: s * (k * math.sqrt(ed * eh * eps) - math.sqrt(1.0 - eps)),
-            NoiseMode.HOMODYNE_MISMATCH_PHASE: k * s * math.sqrt(ed * (1.0 - eh)),
-            NoiseMode.DETECTOR_VACUUM_1: k * s * math.sqrt(1.0 - ed) / root2,
-            NoiseMode.DETECTOR_VACUUM_2: k * s * math.sqrt(1.0 - ed) / root2,
-        }
+    detector = k * math.sqrt(1.0 - ed) / math.sqrt(2.0)
+    return np.array(
+        [
+            [math.sqrt(eps), 0.0, -math.sqrt(1.0 - eps), 0.0, 0.0, 0.0, 0.0],
+            [
+                0.0,
+                math.sqrt(eps) + k * math.sqrt(eh * ed * (1.0 - eps)),
+                0.0,
+                k * math.sqrt(ed * eh * eps) - math.sqrt(1.0 - eps),
+                k * math.sqrt(ed * (1.0 - eh)),
+                detector,
+                detector,
+            ],
+        ],
+        dtype=complex,
     )
+
+
+_INPUT_PHASE = list(NoiseMode).index(NoiseMode.INPUT_PHASE)
+_TAP_VACUUM_PHASE = list(NoiseMode).index(NoiseMode.TAP_VACUUM_PHASE)
+
+
+def _mode_variances(params: NetworkParams) -> np.ndarray:
+    """Variance of each table column: vacuum, except v_phase_in on the input phase."""
+    variances = np.ones(len(NoiseMode))
+    variances[_INPUT_PHASE] = params.v_phase_in
+    return variances
+
+
+def _phase_weights(params: NetworkParams) -> np.ndarray:
+    """|weight|^2 of every mode in the output phase quadrature (table row 1)."""
+    phase_row = mode_coefficients(params)[1]
+    return phase_row.real * phase_row.real + phase_row.imag * phase_row.imag
+
+
+def output_expansion(params: NetworkParams, phi: float) -> QuadratureExpansion:
+    """Output-beam quadrature at analysis angle phi, mode by mode: one row
+    cos(phi) * amplitude + sin(phi) * phase of mode_coefficients."""
+    phi = float(phi)
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi!r}")
+    amplitude, phase = mode_coefficients(params)
+    row = math.cos(phi) * amplitude + math.sin(phi) * phase
+    return QuadratureExpansion(dict(zip(NoiseMode, row)))
 
 
 def spectrum_from_modes(params: NetworkParams, phi):
@@ -106,13 +131,16 @@ def spectrum_from_modes(params: NetworkParams, phi):
     amplitude sits at the vacuum level and the phase at v_phase_in.  Accepts
     a scalar angle or an array of angles.
     """
-    sources = SourceVariances.vacuum(input_phase=params.v_phase_in)
-    if np.ndim(phi) == 0:
-        return variance_of(output_expansion(params, float(phi)), sources)
     angles = np.asarray(phi, dtype=float)
-    return np.array(
-        [variance_of(output_expansion(params, float(x)), sources) for x in angles]
-    )
+    if not np.all(np.isfinite(angles)):
+        raise ValueError(f"phi must be finite, got {phi!r}")
+    amplitude, phase = mode_coefficients(params)
+    rows = np.cos(angles)[..., None] * amplitude + np.sin(angles)[..., None] * phase
+    weights = rows.real * rows.real + rows.imag * rows.imag
+    total = np.sum(weights * _mode_variances(params), axis=-1)
+    if np.ndim(phi) == 0:
+        return float(total)
+    return total
 
 
 def spectrum_closed_form(params: NetworkParams, phi):
@@ -137,9 +165,12 @@ def spectrum_closed_form(params: NetworkParams, phi):
     s2 = np.sin(angles) ** 2
     c2 = np.cos(angles) ** 2
 
-    signal_coeff = math.sqrt(eps) + k * math.sqrt(eh * ed * (1.0 - eps))
-    signal_gain = abs(signal_coeff) ** 2
-    # |tan a / tan phi|^2; the magnitude keeps the angle real for complex gain
+    weights = _phase_weights(params)
+    signal_gain = weights[_INPUT_PHASE]
+    # |tan a / tan phi|^2; the magnitude keeps the angle real for complex gain.
+    # It equals signal_gain / eps, as loop_loss equals the summed weights of
+    # the mismatch and detector columns (tests check both).  Taken from the
+    # table instead, both round differently and move the pinned fit output.
     ratio2 = abs(1.0 + k * math.sqrt(eh * ed * (1.0 - eps) / eps)) ** 2
 
     den = c2 + ratio2 * s2
@@ -148,7 +179,7 @@ def spectrum_closed_form(params: NetworkParams, phi):
     cos2a = np.where(den > 0.0, c2 / safe, 1.0)
     prefactor = np.sqrt(v * v / (sin2a + v * v * cos2a))
 
-    tap_phase = abs(k * math.sqrt(ed * eh * eps) - math.sqrt(1.0 - eps)) ** 2
+    tap_phase = weights[_TAP_VACUUM_PHASE]
     loop_loss = abs(k) ** 2 * (1.0 - ed * eh)
 
     total = (
@@ -164,23 +195,12 @@ def spectrum_closed_form(params: NetworkParams, phi):
 
 def phase_variance(params: NetworkParams) -> float:
     """Output phase-quadrature variance (angle pi/2), vacuum units."""
-    eps = params.epsilon
-    eh, ed = params.eta_h1, params.eta_d1
-    k = params.gain
-    signal_coeff = math.sqrt(eps) + k * math.sqrt(eh * ed * (1.0 - eps))
-    tap_coeff = k * math.sqrt(ed * eh * eps) - math.sqrt(1.0 - eps)
-    return (
-        abs(signal_coeff) ** 2 * params.v_phase_in
-        + abs(tap_coeff) ** 2
-        + abs(k) ** 2 * (1.0 - ed * eh)
-    )
+    return float(_phase_weights(params) @ _mode_variances(params))
 
 
 def signal_power_gain(params: NetworkParams) -> float:
     """Power gain applied to a phase-quadrature signal riding on the input."""
-    eps = params.epsilon
-    coeff = math.sqrt(eps) + params.gain * math.sqrt(params.eta_h1 * params.eta_d1 * (1.0 - eps))
-    return abs(coeff) ** 2
+    return float(_phase_weights(params)[_INPUT_PHASE])
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -204,22 +224,17 @@ def optimal_gain(epsilon: float, eta_h: float, eta_d: float) -> float:
     return math.sqrt(eta_h * eta_d * (1.0 - epsilon) / epsilon)
 
 
-def transfer_ratio(params: NetworkParams, signal_in: float = 1.0) -> float:
+def transfer_ratio(params: NetworkParams) -> float:
     """Output SNR over input SNR for a small phase signal.
 
-    The input signal of power signal_in sits on unit (vacuum) noise.  At the
-    output the signal is boosted by the signal power gain and read against
-    the feed-forward noise floor, i.e. the phase variance with v_phase_in
-    pinned to 1.  The result does not depend on signal_in.
+    The input signal sits on unit (vacuum) noise.  At the output it is
+    boosted by the signal power gain and read against the feed-forward noise
+    floor, i.e. the phase variance with v_phase_in pinned to 1, so the ratio
+    does not depend on the signal power or on v_phase_in.
     """
-    signal_in = float(signal_in)
-    if not (math.isfinite(signal_in) and signal_in > 0.0):
-        raise ValueError(f"signal_in must be > 0, got {signal_in!r}")
-    gain_power = signal_power_gain(params)
-    noise_out = phase_variance(replace(params, v_phase_in=1.0))
-    snr_in = signal_in / 1.0
-    snr_out = gain_power * signal_in / noise_out
-    return snr_out / snr_in
+    weights = _phase_weights(params)
+    # every mode at the vacuum level: the floor is the plain sum of weights
+    return float(weights[_INPUT_PHASE] / weights.sum())
 
 
 def max_transfer_ratio(epsilon: float, eta_h: float, eta_d: float) -> float:

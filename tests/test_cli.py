@@ -173,6 +173,14 @@ class TestFitGain:
         result = fit_gain(noisy, BENCH)
         assert abs(result.k_fit - 2.0) / 2.0 <= 0.02
 
+    def test_rejects_gain_beyond_bracket(self):
+        # the objective still falls at the grid's end, so k_max is a bound
+        # and not a fit; a wider bracket recovers the gain
+        trace = run_sweep(BENCH.with_gain(12.0), n_points=181)
+        with pytest.raises(ValueError, match="k_max=10"):
+            fit_gain(trace, BENCH)
+        assert fit_gain(trace, BENCH, k_max=20.0).k_fit == pytest.approx(12.0, abs=1e-5)
+
     def test_rejects_degenerate_trace(self):
         p = NetworkParams(epsilon=0.2, eta_h1=1.0, eta_d1=1.0, gain=0.0)
         flat = run_sweep(p, n_points=45)
