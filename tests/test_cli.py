@@ -1,5 +1,6 @@
 """Tests for sweeps, gain fitting, SNR reports, file formats, and the CLI."""
 
+import copy
 import json
 import math
 import os
@@ -48,6 +49,67 @@ BASE_CONFIG = {
         "output_noise_db": 9.5,
     },
 }
+
+
+DELETE = object()
+
+
+def edited(block, key, value):
+    """A copy of BASE_CONFIG with block[key] set to value, or removed if
+    value is DELETE."""
+    config = copy.deepcopy(BASE_CONFIG)
+    if value is DELETE:
+        del config[block][key]
+    else:
+        config[block][key] = value
+    return config
+
+
+# (case id, subcommand, config, text the error message must contain)
+MALFORMED_CONFIGS = [
+    ("epsilon-bool", "optimize", edited("network", "epsilon", True), "network.epsilon"),
+    ("epsilon-string", "optimize", edited("network", "epsilon", "0.2"), "network.epsilon"),
+    ("epsilon-missing", "optimize", edited("network", "epsilon", DELETE), "epsilon"),
+    ("snr-key-missing", "snr", edited("snr", "input_total_db", DELETE), "input_total_db"),
+    ("gain-pair-bool", "optimize", edited("network", "gain", [1, True]), "gain"),
+    ("detected-int", "sweep", edited("sweep", "detected", 1), "sweep.detected"),
+    ("points-float", "sweep", edited("sweep", "points", 4.0), "sweep.points"),
+    ("seed-bool", "montecarlo", edited("simulation", "seed", True), "simulation.seed"),
+    (
+        "flat-kernel-extra-keys",
+        "montecarlo",
+        edited("simulation", "kernel", {"type": "flat", "center_hz": 100.0}),
+        "kernel",
+    ),
+    (
+        "bandpass-kernel-missing-keys",
+        "montecarlo",
+        edited("simulation", "kernel", {"type": "bandpass", "bandwidth_hz": 10.0, "gain": 1.0}),
+        "center_hz",
+    ),
+    (
+        "kernel-type-unknown",
+        "montecarlo",
+        edited("simulation", "kernel", {"type": "lowpass"}),
+        "lowpass",
+    ),
+    ("top-level-not-object", "optimize", [BASE_CONFIG["network"]], "top-level"),
+    ("network-not-object", "optimize", {"network": 0.2}, "network"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, config, named",
+    [case[1:] for case in MALFORMED_CONFIGS],
+    ids=[case[0] for case in MALFORMED_CONFIGS],
+)
+def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
 
 
 @pytest.fixture

@@ -2,7 +2,8 @@
 
 Each case runs `phaseff.cli.main` in-process and compares what it wrote, to
 stdout or to its --out file, with a file under tests/golden/.  The files hold
-the output of the six README commands plus the `coefficient` formula variants.
+the output of the six README commands, their `coefficient` formula variants,
+and `--format` overrides of the default rendering.
 Regenerate them only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -52,6 +53,13 @@ CASES = {
     ],
     "snr.json": ["snr", "--config", CONFIG],
     "montecarlo_seed12.json": ["montecarlo", "--config", CONFIG, "--seed", "12"],
+    # --format overrides: a sweep rendered as JSON, reports rendered as CSV
+    "sweep_97.json": ["sweep", "--config", CONFIG, "--points", "97", "--format", "json"],
+    "optimize.csv": ["optimize", "--config", CONFIG, "--format", "csv"],
+    "snr.csv": ["snr", "--config", CONFIG, "--format", "csv"],
+    "montecarlo_seed12.csv": [
+        "montecarlo", "--config", CONFIG, "--seed", "12", "--format", "csv",
+    ],
 }
 
 
