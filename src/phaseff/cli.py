@@ -16,7 +16,8 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, asdict, replace
+import dataclasses
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -109,12 +110,7 @@ class SnrSettings:
     output_noise_db: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "input_total_db",
-            "input_noise_db",
-            "output_total_db",
-            "output_noise_db",
-        ):
+        for name in (f.name for f in dataclasses.fields(self)):
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -122,15 +118,29 @@ class SnrSettings:
 
 
 @dataclass(frozen=True)
+class SweepSettings:
+    """Defaults of the sweep, spectrum and fit subcommands; their flags
+    override them."""
+
+    points: int = 361
+    formula: str = "paper"
+    detected: bool = False
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Parsed JSON config: network settings plus optional sweep, simulation,
-    and SNR blocks."""
+    and SNR blocks.
+
+    simulation holds the checked SimConfig keyword arguments other than
+    params.  The SimConfig itself is built by the montecarlo subcommand, the
+    only one that runs the simulation, so a network the time domain cannot
+    run (a complex gain with the flat kernel) fails only there.
+    """
 
     network: NetworkParams
-    sweep_points: int = 361
-    sweep_formula: str = "paper"
-    sweep_detected: bool = False
-    simulation: SimConfig | None = None
+    sweep: SweepSettings = field(default_factory=SweepSettings)
+    simulation: Mapping | None = None
     snr: SnrSettings | None = None
 
 
@@ -401,140 +411,86 @@ def load_trace_csv(path: str, detected: bool = False) -> SweepTrace:
     )
 
 
-def load_report_json(path: str) -> dict:
-    """Read back a flat JSON report written by emit."""
-    with open(path) as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object at top level")
-    return data
-
-
 # ---------------------------------------------------------------------------
-# Config file parsing.
+# Config file parsing.  A block's allowed keys are its dataclass's fields and
+# its required keys the fields without a default.  Each value is a JSON number
+# unless the block's parser table says otherwise; the dataclass checks ranges.
 # ---------------------------------------------------------------------------
 
 
-def _require_block(data, name: str, allowed: set[str], required: set[str]) -> dict:
-    if not isinstance(data, dict):
-        raise ValueError(f"config block {name!r} must be a JSON object")
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys in {name!r} block: {sorted(unknown)}")
-    missing = required - set(data)
-    if missing:
-        raise ValueError(f"missing keys in {name!r} block: {sorted(missing)}")
-    return data
-
-
-def _as_number(value, label: str) -> float:
+def _number(value, label: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{label} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{label} is too large for a float") from None
 
 
-def _as_int(value, label: str) -> int:
+def _integer(value, label: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{label} must be an integer, got {value!r}")
     return value
 
 
-def _parse_gain(value) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(float(value))
-    if (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    ):
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"gain must be a number or a [real, imag] pair, got {value!r}")
+def _flag(value, label: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{label} must be true or false, got {value!r}")
+    return value
 
 
-def _parse_network(block) -> NetworkParams:
-    block = _require_block(
-        block,
-        "network",
-        allowed={"epsilon", "eta_h1", "eta_d1", "gain", "v_phase_in", "eta_det2"},
-        required={"epsilon", "eta_h1", "eta_d1", "gain"},
-    )
-    kwargs = {
-        "epsilon": _as_number(block["epsilon"], "network.epsilon"),
-        "eta_h1": _as_number(block["eta_h1"], "network.eta_h1"),
-        "eta_d1": _as_number(block["eta_d1"], "network.eta_d1"),
-        "gain": _parse_gain(block["gain"]),
+def _gain(value, label: str) -> complex:
+    """A number, or a [real, imag] pair for a complex gain."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_number(value[0], f"{label}[0]"), _number(value[1], f"{label}[1]"))
+    return complex(_number(value, label))
+
+
+def _one_of(options: Mapping):
+    def parse(value, label: str) -> str:
+        if not (isinstance(value, str) and value in options):
+            raise ValueError(f"{label} must be one of {sorted(options)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _object(block, name: str) -> dict:
+    if not isinstance(block, dict):
+        raise ValueError(f"config block {name!r} must be a JSON object")
+    return block
+
+
+def _checked(cls, block, name: str, parsers: Mapping, skip=()) -> dict:
+    """Keyword arguments for dataclass cls, less the fields in skip, read
+    from one config block."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
+    unknown = set(_object(block, name)) - {f.name for f in fields}
+    if unknown:
+        raise ValueError(f"unknown keys in {name!r} block: {sorted(unknown)}")
+    required = {
+        f.name
+        for f in fields
+        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
     }
-    if "v_phase_in" in block:
-        kwargs["v_phase_in"] = _as_number(block["v_phase_in"], "network.v_phase_in")
-    if "eta_det2" in block:
-        kwargs["eta_det2"] = _as_number(block["eta_det2"], "network.eta_det2")
-    return NetworkParams(**kwargs)
+    missing = required - set(block)
+    if missing:
+        raise ValueError(f"missing keys in {name!r} block: {sorted(missing)}")
+    return {key: parsers.get(key, _number)(value, f"{name}.{key}") for key, value in block.items()}
 
 
-def _parse_kernel(block):
-    block = _require_block(
-        block,
-        "simulation.kernel",
-        allowed={"type", "center_hz", "bandwidth_hz", "gain"},
-        required={"type"},
-    )
-    kind = block["type"]
-    if kind == "flat":
-        if set(block) != {"type"}:
-            raise ValueError("flat kernel takes no extra keys")
-        return FlatKernel()
-    if kind == "bandpass":
-        for key in ("center_hz", "bandwidth_hz", "gain"):
-            if key not in block:
-                raise ValueError(f"bandpass kernel needs {key!r}")
-        return BandpassKernel(
-            center_hz=_as_number(block["center_hz"], "kernel.center_hz"),
-            bandwidth_hz=_as_number(block["bandwidth_hz"], "kernel.bandwidth_hz"),
-            gain=_as_number(block["gain"], "kernel.gain"),
-        )
-    raise ValueError(f"unknown kernel type {kind!r}, expected 'flat' or 'bandpass'")
+def _build(cls, block, name: str, parsers: Mapping):
+    return cls(**_checked(cls, block, name, parsers))
 
 
-def _parse_simulation(block, params: NetworkParams) -> SimConfig:
-    block = _require_block(
-        block,
-        "simulation",
-        allowed={
-            "sample_rate",
-            "duration",
-            "signal_frequency",
-            "signal_amplitude",
-            "kernel",
-            "seed",
-        },
-        required={"sample_rate", "duration"},
-    )
-    kwargs = {
-        "params": params,
-        "sample_rate": _as_number(block["sample_rate"], "simulation.sample_rate"),
-        "duration": _as_number(block["duration"], "simulation.duration"),
-    }
-    if "signal_frequency" in block:
-        kwargs["signal_frequency"] = _as_number(
-            block["signal_frequency"], "simulation.signal_frequency"
-        )
-    if "signal_amplitude" in block:
-        kwargs["signal_amplitude"] = _as_number(
-            block["signal_amplitude"], "simulation.signal_amplitude"
-        )
-    if "kernel" in block:
-        kwargs["kernel"] = _parse_kernel(block["kernel"])
-    if "seed" in block:
-        kwargs["seed"] = _as_int(block["seed"], "simulation.seed")
-    return SimConfig(**kwargs)
+_KERNELS = {"flat": FlatKernel, "bandpass": BandpassKernel}
 
 
-def _parse_snr(block) -> SnrSettings:
-    keys = {"input_total_db", "input_noise_db", "output_total_db", "output_noise_db"}
-    block = _require_block(block, "snr", allowed=keys, required=keys)
-    return SnrSettings(
-        **{key: _as_number(block[key], f"snr.{key}") for key in sorted(keys)}
-    )
+def _kernel(block, name: str):
+    """A kernel object: its "type" names the class, the other keys are its fields."""
+    kind = _one_of(_KERNELS)(_object(block, name).get("type"), f"{name}.type")
+    fields = {key: value for key, value in block.items() if key != "type"}
+    return _build(_KERNELS[kind], fields, name, {})
 
 
 def load_config(path: str) -> RunConfig:
@@ -547,60 +503,35 @@ def load_config(path: str) -> RunConfig:
     """
     with open(path) as handle:
         data = json.load(handle)
-    data = _require_block(
-        data, "top-level", allowed={"network", "sweep", "simulation", "snr"}, required={"network"}
-    )
-    network = _parse_network(data["network"])
-    kwargs: dict = {"network": network}
-    if "sweep" in data:
-        sweep = _require_block(
-            data["sweep"],
+    blocks = {
+        "network": lambda block, _: _build(NetworkParams, block, "network", {"gain": _gain}),
+        "sweep": lambda block, _: _build(
+            SweepSettings,
+            block,
             "sweep",
-            allowed={"points", "formula", "detected"},
-            required=set(),
-        )
-        if "points" in sweep:
-            kwargs["sweep_points"] = _as_int(sweep["points"], "sweep.points")
-        if "formula" in sweep:
-            formula = sweep["formula"]
-            _spectrum_function(formula)
-            kwargs["sweep_formula"] = formula
-        if "detected" in sweep:
-            if not isinstance(sweep["detected"], bool):
-                raise ValueError("sweep.detected must be true or false")
-            kwargs["sweep_detected"] = sweep["detected"]
-    if "simulation" in data:
-        kwargs["simulation"] = _parse_simulation(data["simulation"], network)
-    if "snr" in data:
-        kwargs["snr"] = _parse_snr(data["snr"])
-    return RunConfig(**kwargs)
+            {"points": _integer, "formula": _one_of(SPECTRUM_FORMULAS), "detected": _flag},
+        ),
+        "simulation": lambda block, _: _checked(
+            SimConfig,
+            block,
+            "simulation",
+            {"kernel": _kernel, "seed": _integer},
+            skip=("params",),
+        ),
+        "snr": lambda block, _: _build(SnrSettings, block, "snr", {}),
+    }
+    return _build(RunConfig, data, "top-level", blocks)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands.  Each returns a SweepTrace or a flat report dict, and main
+# renders it: a trace as CSV and a report as JSON, unless --format is given.
 # ---------------------------------------------------------------------------
 
 
-def _write_output(obj, args, default_format: str) -> None:
-    fmt = args.format or default_format
-    if args.out:
-        emit(obj, args.out, fmt)
-    else:
-        sys.stdout.write(_render(obj, fmt))
-
-
-def _resolve_formula(args, config: RunConfig) -> str:
-    return args.formula if args.formula else config.sweep_formula
-
-
-def _resolve_detected(args, config: RunConfig) -> bool:
-    return config.sweep_detected if args.detected is None else True
-
-
-def _cmd_spectrum(args) -> int:
-    config = load_config(args.config)
-    formula = _resolve_formula(args, config)
-    detected = _resolve_detected(args, config)
+def _cmd_spectrum(args, config: RunConfig) -> dict:
+    formula = args.formula or config.sweep.formula
+    detected = args.detected or config.sweep.detected
     params = config.network
     phi = float(args.phi)
     if not math.isfinite(phi):
@@ -608,32 +539,25 @@ def _cmd_spectrum(args) -> int:
     value = float(SPECTRUM_FORMULAS[formula](params, phi))
     if detected:
         value = detected_variance(value, params.eta_det2)
-    report = {
+    return {
         "phi_rad": phi,
         "formula": formula,
         "detected": detected,
         "variance_linear": value,
         "variance_db": db_from_linear(value),
     }
-    _write_output(report, args, default_format="json")
-    return 0
 
 
-def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    points = args.points if args.points is not None else config.sweep_points
-    trace = run_sweep(
+def _cmd_sweep(args, config: RunConfig) -> SweepTrace:
+    return run_sweep(
         config.network,
-        n_points=points,
-        formula=_resolve_formula(args, config),
-        detected=_resolve_detected(args, config),
+        n_points=args.points if args.points is not None else config.sweep.points,
+        formula=args.formula or config.sweep.formula,
+        detected=args.detected or config.sweep.detected,
     )
-    _write_output(trace, args, default_format="csv")
-    return 0
 
 
-def _cmd_optimize(args) -> int:
-    config = load_config(args.config)
+def _cmd_optimize(args, config: RunConfig) -> dict:
     p = config.network
     k_opt = optimal_gain(p.epsilon, p.eta_h1, p.eta_d1)
     gain_power = signal_power_gain(p)
@@ -655,29 +579,24 @@ def _cmd_optimize(args) -> int:
         report["signal_power_gain_db"] = db_from_linear(gain_power)
     if gain_power >= 1.0:
         report["pia_transfer_ratio_at_same_gain"] = pia_transfer_ratio(gain_power)
-    _write_output(report, args, default_format="json")
-    return 0
+    return report
 
 
-def _cmd_snr(args) -> int:
-    config = load_config(args.config)
+def _cmd_snr(args, config: RunConfig) -> dict:
     if config.snr is None:
         raise ValueError("config has no 'snr' block")
     result = report_snr(config.snr, config.network)
-    report = {
+    return {
         "eta1": config.network.eta1,
         "eta_det2": config.network.eta_det2,
         **asdict(result),
     }
-    _write_output(report, args, default_format="json")
-    return 0
 
 
-def _cmd_montecarlo(args) -> int:
-    config = load_config(args.config)
+def _cmd_montecarlo(args, config: RunConfig) -> dict:
     if config.simulation is None:
         raise ValueError("config has no 'simulation' block")
-    sim = config.simulation
+    sim = SimConfig(params=config.network, **config.simulation)
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
     angles = (0.0, math.pi / 4.0, math.pi / 2.0)
@@ -695,17 +614,15 @@ def _cmd_montecarlo(args) -> int:
         report[f"analytic_variance_{i}"] = row.analytic_variance
         report[f"n_sigma_{i}"] = row.n_sigma
         report[f"pass_{i}"] = row.within_tolerance
-    _write_output(report, args, default_format="json")
-    return 0
+    return report
 
 
-def _cmd_fit(args) -> int:
-    config = load_config(args.config)
-    detected = _resolve_detected(args, config)
-    formula = _resolve_formula(args, config)
+def _cmd_fit(args, config: RunConfig) -> dict:
+    detected = args.detected or config.sweep.detected
+    formula = args.formula or config.sweep.formula
     trace = load_trace_csv(args.trace, detected=detected)
     result = fit_gain(trace, config.network, formula=formula)
-    report = {
+    return {
         "k_fit": result.k_fit,
         "residual_rms": result.residual_rms,
         "iterations": result.iterations,
@@ -713,34 +630,18 @@ def _cmd_fit(args) -> int:
         "detected": detected,
         "n_points": len(trace),
     }
-    _write_output(report, args, default_format="json")
-    return 0
 
 
-def _add_common_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", required=True, help="JSON config file")
-    sub.add_argument("--out", help="output file path (default: stdout)")
-    sub.add_argument(
-        "--format",
-        choices=("csv", "json"),
-        help="output format (default: csv for sweep traces, json for reports)",
-    )
-
-
-def _add_formula_arguments(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--formula",
-        choices=tuple(SPECTRUM_FORMULAS),
-        help="spectrum variant: 'paper' uses the closed form with the "
-        "interpolating prefactor, 'coefficient' sums the mode expansion "
-        "(default: the config's sweep.formula, else 'paper')",
-    )
-    sub.add_argument(
-        "--detected",
-        action="store_true",
-        default=None,
-        help="fold the verification stage efficiency eta_det2 into the levels",
-    )
+# (subcommand, function, help); the spectrum, sweep and fit subcommands also
+# take --formula and --detected.
+_COMMANDS = (
+    ("spectrum", _cmd_spectrum, "output quadrature variance at one analysis angle"),
+    ("sweep", _cmd_sweep, "variance trace over a full local-oscillator phase sweep"),
+    ("optimize", _cmd_optimize, "gain optimization summary for the configured network"),
+    ("snr", _cmd_snr, "SNR inference chain from the config's measured levels"),
+    ("montecarlo", _cmd_montecarlo, "Monte Carlo spectra versus the analytic model"),
+    ("fit", _cmd_fit, "fit the feed-forward gain to a sweep trace"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -749,64 +650,58 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Noise budget engine for electro-optic phase feed-forward amplification",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    spectrum = commands.add_parser(
-        "spectrum", help="output quadrature variance at one analysis angle"
-    )
-    _add_common_arguments(spectrum)
-    _add_formula_arguments(spectrum)
-    spectrum.add_argument(
+    subs = {}
+    for name, func, help_text in _COMMANDS:
+        sub = subs[name] = commands.add_parser(name, help=help_text)
+        sub.set_defaults(func=func)
+        sub.add_argument("--config", required=True, help="JSON config file")
+        sub.add_argument("--out", help="output file path (default: stdout)")
+        sub.add_argument(
+            "--format",
+            choices=("csv", "json"),
+            help="output format (default: csv for sweep traces, json for reports)",
+        )
+        if name in ("spectrum", "sweep", "fit"):
+            sub.add_argument(
+                "--formula",
+                choices=tuple(SPECTRUM_FORMULAS),
+                help="spectrum variant: 'paper' uses the closed form with the "
+                "interpolating prefactor, 'coefficient' sums the mode expansion "
+                "(default: the config's sweep.formula, else 'paper')",
+            )
+            sub.add_argument(
+                "--detected",
+                action="store_true",
+                help="fold the verification stage efficiency eta_det2 into the levels",
+            )
+    subs["spectrum"].add_argument(
         "--phi",
         type=float,
         default=math.pi / 2.0,
         help="analysis angle in radians (default: pi/2, the phase quadrature)",
     )
-    spectrum.set_defaults(func=_cmd_spectrum)
-
-    sweep = commands.add_parser(
-        "sweep", help="variance trace over a full local-oscillator phase sweep"
-    )
-    _add_common_arguments(sweep)
-    _add_formula_arguments(sweep)
-    sweep.add_argument(
+    subs["sweep"].add_argument(
         "--points", type=int, help="number of sweep points (default: config, else 361)"
     )
-    sweep.set_defaults(func=_cmd_sweep)
-
-    optimize = commands.add_parser(
-        "optimize", help="gain optimization summary for the configured network"
-    )
-    _add_common_arguments(optimize)
-    optimize.set_defaults(func=_cmd_optimize)
-
-    snr = commands.add_parser(
-        "snr", help="SNR inference chain from the config's measured levels"
-    )
-    _add_common_arguments(snr)
-    snr.set_defaults(func=_cmd_snr)
-
-    montecarlo = commands.add_parser(
-        "montecarlo", help="Monte Carlo spectra versus the analytic model"
-    )
-    _add_common_arguments(montecarlo)
-    montecarlo.add_argument(
+    subs["montecarlo"].add_argument(
         "--seed", type=int, help="override the config's simulation seed"
     )
-    montecarlo.set_defaults(func=_cmd_montecarlo)
-
-    fit = commands.add_parser("fit", help="fit the feed-forward gain to a sweep trace")
-    fit.add_argument("trace", help="CSV trace file (phase_rad,variance_linear,variance_db)")
-    _add_common_arguments(fit)
-    _add_formula_arguments(fit)
-    fit.set_defaults(func=_cmd_fit)
-
+    subs["fit"].add_argument(
+        "trace", help="CSV trace file (phase_rad,variance_linear,variance_db)"
+    )
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args, load_config(args.config))
+        fmt = args.format or ("csv" if isinstance(result, SweepTrace) else "json")
+        if args.out:
+            emit(result, args.out, fmt)
+        else:
+            sys.stdout.write(_render(result, fmt))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0

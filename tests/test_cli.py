@@ -19,7 +19,6 @@ from phaseff import (
     detected_variance,
     emit,
     fit_gain,
-    load_report_json,
     load_trace_csv,
     report_snr,
     run_sweep,
@@ -93,6 +92,9 @@ MALFORMED_CONFIGS = [
         edited("simulation", "kernel", {"type": "lowpass"}),
         "lowpass",
     ),
+    ("snr-level-overflows-float", "snr", edited("snr", "input_total_db", 10**400), "snr.input_total_db"),
+    ("epsilon-overflows-float", "optimize", edited("network", "epsilon", 10**400), "network.epsilon"),
+    ("formula-list", "sweep", edited("sweep", "formula", ["paper"]), "sweep.formula"),
     ("top-level-not-object", "optimize", [BASE_CONFIG["network"]], "top-level"),
     ("network-not-object", "optimize", {"network": 0.2}, "network"),
 ]
@@ -359,7 +361,7 @@ class TestEmitAndLoad:
         report = {"k_fit": 3.2, "residual_rms": 1.2345678901234e-7, "iterations": 31}
         out = tmp_path / "report.json"
         emit(report, str(out), "json")
-        back = load_report_json(str(out))
+        back = json.loads(out.read_text())
         assert back["iterations"] == 31
         assert math.isclose(back["k_fit"], 3.2, rel_tol=1e-10)
         assert math.isclose(back["residual_rms"], 1.2345678901234e-7, rel_tol=1e-10)
@@ -494,6 +496,15 @@ class TestCliCommands:
         rc = main(["optimize", "--config", str(path)])
         assert rc == 1
         assert "epsilan" in capsys.readouterr().err
+
+    def test_complex_gain_fails_only_in_montecarlo(self, tmp_path, capsys):
+        # only montecarlo runs the time domain, which needs a real gain
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(edited("network", "gain", [3.2, 0.5])))
+        assert main(["optimize", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["configured_gain_imag"] == 0.5
+        assert main(["montecarlo", "--config", str(path)]) == 1
+        assert "real gain" in capsys.readouterr().err
 
     def test_snr_without_block_fails(self, tmp_path, capsys):
         path = tmp_path / "nosnr.json"
