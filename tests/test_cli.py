@@ -92,8 +92,18 @@ MALFORMED_CONFIGS = [
         edited("simulation", "kernel", {"type": "lowpass"}),
         "lowpass",
     ),
-    ("snr-level-overflows-float", "snr", edited("snr", "input_total_db", 10**400), "snr.input_total_db"),
-    ("epsilon-overflows-float", "optimize", edited("network", "epsilon", 10**400), "network.epsilon"),
+    (
+        "snr-level-overflows-float",
+        "snr",
+        edited("snr", "input_total_db", 10**400),
+        "snr.input_total_db",
+    ),
+    (
+        "epsilon-overflows-float",
+        "optimize",
+        edited("network", "epsilon", 10**400),
+        "network.epsilon",
+    ),
     ("formula-list", "sweep", edited("sweep", "formula", ["paper"]), "sweep.formula"),
     ("top-level-not-object", "optimize", [BASE_CONFIG["network"]], "top-level"),
     ("network-not-object", "optimize", {"network": 0.2}, "network"),
