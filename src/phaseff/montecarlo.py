@@ -10,6 +10,7 @@ adds a^2 * m / 4 to that bin.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -20,9 +21,13 @@ from .network import NetworkParams, spectrum_from_modes
 
 MIN_SAMPLES = 2**14
 
-# Row order of the white-noise draw matrix; fixed so (seed, trial) pins the
-# entire realization.
+# Row order of the white-noise draw matrix; fixed so (seed, trial, chunk) pins
+# the entire realization.
 _MODE_ORDER = tuple(NoiseMode)
+
+# Samples per noise draw.  Chunk k of a run has its own Philox substream, so
+# the realization does not depend on how chunks are scheduled over threads.
+_CHUNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -111,13 +116,21 @@ class SimConfig:
         return int(round(self.duration * self.sample_rate))
 
 
-def _substream(seed: int, trial: int) -> np.random.Generator:
-    """Counter-based generator keyed on (seed, trial): distinct trials give
-    independent streams without sequential state."""
+def _substream(seed: int, trial: int, chunk: int = 0) -> np.random.Generator:
+    """Counter-based generator keyed on (seed, trial), starting at counter
+    word 3 = chunk: distinct trials and chunks give independent streams
+    without sequential state.  Chunk 0 is Philox's default counter."""
     if not _is_uint64(trial):
         raise ValueError(f"trial must be an integer in [0, 2^64), got {trial!r}")
     key = np.array([seed, trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,40 +183,68 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     assembles the homodyne photocurrent with its efficiency-weighted vacuum
     contributions, runs it through the kernel, and applies the correction to
     the transmitted beam's phase quadrature.
+
+    The noise is drawn in chunks of _CHUNK = 2^18 samples; chunk k comes from
+    the Philox substream keyed on (seed, trial) at counter k, and the chunks
+    are filled on every usable CPU.  The output is the same whatever the
+    thread count.  Runs of at most 2^18 samples are one chunk and draw the
+    same stream as before chunking; longer runs are a different realization
+    than before.  The kernel then runs once over the whole photocurrent, so a
+    causal filter carries no state across chunks.
     """
     p = config.params
     n = config.n_samples
-    rng = _substream(config.seed, trial)
-    draws = rng.standard_normal((len(_MODE_ORDER), n))
-    rows = {mode: draws[i] for i, mode in enumerate(_MODE_ORDER)}
-
     eps = p.epsilon
     eh, ed = p.eta_h1, p.eta_d1
+    amplitude = np.empty(n)
+    photocurrent = np.empty(n)
+    phase = np.empty(n)
 
-    x_phase_in = math.sqrt(p.v_phase_in) * rows[NoiseMode.INPUT_PHASE]
-    if config.signal_amplitude > 0.0:
-        t = np.arange(n) / config.sample_rate
-        x_phase_in = x_phase_in + config.signal_amplitude * np.sin(
-            2.0 * math.pi * config.signal_frequency * t
+    def fill(chunk: int) -> None:
+        start = chunk * _CHUNK
+        stop = min(start + _CHUNK, n)
+        draws = _substream(config.seed, trial, chunk).standard_normal(
+            (len(_MODE_ORDER), stop - start)
+        )
+        rows = dict(zip(_MODE_ORDER, draws))
+
+        x_phase_in = math.sqrt(p.v_phase_in) * rows[NoiseMode.INPUT_PHASE]
+        if config.signal_amplitude > 0.0:
+            t = np.arange(start, stop) / config.sample_rate
+            x_phase_in = x_phase_in + config.signal_amplitude * np.sin(
+                2.0 * math.pi * config.signal_frequency * t
+            )
+
+        photocurrent[start:stop] = (
+            math.sqrt(eh * ed * (1.0 - eps)) * x_phase_in
+            + math.sqrt(ed * eh * eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
+            + math.sqrt(ed * (1.0 - eh)) * rows[NoiseMode.HOMODYNE_MISMATCH_PHASE]
+            + math.sqrt((1.0 - ed) / 2.0)
+            * (rows[NoiseMode.DETECTOR_VACUUM_1] + rows[NoiseMode.DETECTOR_VACUUM_2])
+        )
+        amplitude[start:stop] = math.sqrt(eps) * rows[
+            NoiseMode.INPUT_AMPLITUDE
+        ] - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
+        phase[start:stop] = (
+            math.sqrt(eps) * x_phase_in
+            - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
         )
 
-    photocurrent = (
-        math.sqrt(eh * ed * (1.0 - eps)) * x_phase_in
-        + math.sqrt(ed * eh * eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
-        + math.sqrt(ed * (1.0 - eh)) * rows[NoiseMode.HOMODYNE_MISMATCH_PHASE]
-        + math.sqrt((1.0 - ed) / 2.0)
-        * (rows[NoiseMode.DETECTOR_VACUUM_1] + rows[NoiseMode.DETECTOR_VACUUM_2])
-    )
-    correction = apply_kernel(config.kernel, photocurrent, p, config.sample_rate)
+    n_chunks = -(-n // _CHUNK)
+    workers = min(_usable_cpus(), n_chunks)
+    if workers == 1:
+        for chunk in range(n_chunks):
+            fill(chunk)
+    else:
+        # numpy releases the GIL while drawing and in the ufuncs, so threads
+        # fill chunks in parallel; map re-raises a failed chunk's exception.
+        from concurrent.futures import ThreadPoolExecutor
 
-    amplitude = math.sqrt(eps) * rows[NoiseMode.INPUT_AMPLITUDE] - math.sqrt(
-        1.0 - eps
-    ) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
-    phase = (
-        math.sqrt(eps) * x_phase_in
-        - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
-        + correction
-    )
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for _ in pool.map(fill, range(n_chunks)):
+                pass
+
+    phase += apply_kernel(config.kernel, photocurrent, p, config.sample_rate)
     return QuadratureStreams(amplitude=amplitude, phase=phase, sample_rate=config.sample_rate)
 
 
@@ -316,9 +357,12 @@ def oracle_compare(
         raise ValueError(f"n_sigma must be > 0, got {n_sigma!r}")
     rows = []
     for trial, phi in enumerate(angles):
-        streams = simulate_streams(config, trial=trial)
+        # the streams are freed once projected, before the periodogram
+        # allocates
         estimate = estimate_psd(
-            streams.at_angle(phi), config.sample_rate, segment_count=segment_count
+            simulate_streams(config, trial=trial).at_angle(phi),
+            config.sample_rate,
+            segment_count=segment_count,
         )
         if config.signal_amplitude > 0.0:
             bin_width = float(estimate.frequencies[1])

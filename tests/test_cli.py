@@ -516,6 +516,17 @@ class TestCliCommands:
         assert main(["montecarlo", "--config", str(path)]) == 1
         assert "real gain" in capsys.readouterr().err
 
+    def test_out_of_memory_fails_cleanly(self, monkeypatch, capsys, config_path):
+        # e.g. `sweep --points 10**12`: numpy raises MemoryError for the grid
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr("phaseff.cli.run_sweep", exhausted)
+        assert main(["sweep", "--config", config_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 7.28 TiB\n"
+
     def test_snr_without_block_fails(self, tmp_path, capsys):
         path = tmp_path / "nosnr.json"
         path.write_text(json.dumps({"network": BASE_CONFIG["network"]}))

@@ -1,4 +1,5 @@
-"""Import-path guard: scipy.signal loads only when a bandpass kernel runs.
+"""Import-path guard: scipy.signal loads only when a bandpass kernel runs,
+and concurrent.futures only when a Monte Carlo run spans several chunks.
 
 Each check starts a fresh interpreter, since the test process itself has
 long since imported everything.
@@ -9,17 +10,24 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 EXAMPLE = os.path.join(ROOT, "configs", "example.json")
+LAZY = ("scipy.signal", "concurrent.futures")
 
 
-def _loads_scipy_signal(code: str, cwd) -> bool:
+def _loaded(code: str, cwd) -> dict:
     """Run `code` in a fresh interpreter with src first on the path and say
-    whether scipy.signal ended up in sys.modules."""
+    which of the lazily imported modules ended up in sys.modules."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    probe = code + "\nimport json, sys\nprint(json.dumps('scipy.signal' in sys.modules))\n"
+    probe = (
+        code
+        + "\nimport json, sys\n"
+        + f"print(json.dumps({{m: m in sys.modules for m in {LAZY!r}}}))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe], cwd=cwd, env=env, capture_output=True, text=True
     )
@@ -27,8 +35,17 @@ def _loads_scipy_signal(code: str, cwd) -> bool:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_import_phaseff_skips_scipy_signal(tmp_path):
-    assert not _loads_scipy_signal("import phaseff", tmp_path)
+@pytest.fixture(scope="module")
+def after_import(tmp_path_factory):
+    return _loaded("import phaseff", tmp_path_factory.mktemp("import"))
+
+
+def test_import_phaseff_skips_scipy_signal(after_import):
+    assert not after_import["scipy.signal"]
+
+
+def test_import_phaseff_skips_concurrent_futures(after_import):
+    assert not after_import["concurrent.futures"]
 
 
 README_COMMANDS = [
@@ -41,11 +58,21 @@ README_COMMANDS = [
 ]
 
 
-def test_cli_commands_skip_scipy_signal(tmp_path):
+@pytest.fixture(scope="module")
+def after_cli(tmp_path_factory):
     code = "from phaseff.cli import main\n" + "".join(
         f"assert main({argv + ['--config', EXAMPLE]!r}) == 0\n" for argv in README_COMMANDS
     )
-    assert not _loads_scipy_signal(code, tmp_path)
+    return _loaded(code, tmp_path_factory.mktemp("cli"))
+
+
+def test_cli_commands_skip_scipy_signal(after_cli):
+    assert not after_cli["scipy.signal"]
+
+
+def test_cli_commands_skip_concurrent_futures(after_cli):
+    # montecarlo runs one 2^18-sample chunk per angle, so it starts no thread
+    assert not after_cli["concurrent.futures"]
 
 
 def test_bandpass_kernel_loads_scipy_signal(tmp_path):
@@ -56,4 +83,4 @@ def test_bandpass_kernel_loads_scipy_signal(tmp_path):
         "k = BandpassKernel(center_hz=1000.0, bandwidth_hz=100.0, gain=1.0)\n"
         "apply_kernel(k, np.zeros(64), p, 8192.0)\n"
     )
-    assert _loads_scipy_signal(code, tmp_path)
+    assert _loaded(code, tmp_path)["scipy.signal"]

@@ -4,6 +4,8 @@ All statistical assertions run with fixed seeds, so they are deterministic.
 """
 
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from phaseff import (
     BandpassKernel,
     FlatKernel,
     NetworkParams,
+    NoiseMode,
     SimConfig,
     apply_kernel,
     band_average,
@@ -20,6 +23,8 @@ from phaseff import (
     simulate_streams,
     spectrum_from_modes,
 )
+from phaseff import montecarlo
+from phaseff.montecarlo import _CHUNK, _substream
 
 FS = 65536.0
 DUR = 1.0  # 64 segments of 1024 samples
@@ -247,3 +252,95 @@ class TestOracle:
         report = oracle_compare(cfg, [math.pi / 2.0])
         assert report.all_pass
         assert math.isclose(report.rows[0].analytic_variance, 5.0, rel_tol=1e-12)
+
+
+# 2.5 chunks at a low sample rate: two full chunks and a partial last one
+CHUNK_FS = 8192.0
+CHUNKED_RUNS = {
+    "flat": {"params": make_params(gain=2.0)},
+    "bandpass": {
+        "params": make_params(eta_h=0.9, eta_d=0.8),
+        "kernel": BandpassKernel(center_hz=1000.0, bandwidth_hz=200.0, gain=2.0),
+    },
+    "tone": {
+        "params": make_params(gain=1.5, v=2.0),
+        "signal_frequency": 1000.1,  # not a whole number of cycles per chunk
+        "signal_amplitude": 0.5,
+    },
+}
+
+
+def chunked_config(name, n_samples=5 * _CHUNK // 2, seed=31):
+    return SimConfig(
+        sample_rate=CHUNK_FS, duration=n_samples / CHUNK_FS, seed=seed, **CHUNKED_RUNS[name]
+    )
+
+
+class TestChunks:
+    @pytest.mark.parametrize("name", sorted(CHUNKED_RUNS))
+    def test_streams_independent_of_thread_count(self, monkeypatch, name):
+        cfg = chunked_config(name)
+        default = simulate_streams(cfg, trial=2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the chunk threads finely
+        try:
+            for cpus in (1, 3):  # 3 is one thread per chunk
+                monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+                forced = simulate_streams(cfg, trial=2)
+                assert np.array_equal(forced.amplitude, default.amplitude)
+                assert np.array_equal(forced.phase, default.phase)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("name", sorted(CHUNKED_RUNS))
+    def test_whole_chunks_are_a_prefix(self, name):
+        # chunk k depends only on (seed, trial, k) and the kernel is causal,
+        # so a two-chunk run is the start of a 2.5-chunk run
+        longer = simulate_streams(chunked_config(name))
+        shorter = simulate_streams(chunked_config(name, n_samples=2 * _CHUNK))
+        assert np.array_equal(longer.amplitude[: 2 * _CHUNK], shorter.amplitude)
+        assert np.array_equal(longer.phase[: 2 * _CHUNK], shorter.phase)
+
+    def test_single_chunk_is_the_unchunked_stream(self):
+        # a run of at most _CHUNK samples draws Philox keyed on (seed, trial)
+        # from its default counter, as before chunking
+        p = make_params(epsilon=0.3, gain=2.0)
+        cfg = SimConfig(params=p, sample_rate=CHUNK_FS, duration=_CHUNK / CHUNK_FS, seed=8)
+        key = np.array([cfg.seed, 4], dtype=np.uint64)
+        draws = np.random.Generator(np.random.Philox(key=key)).standard_normal((7, _CHUNK))
+        rows = dict(zip(montecarlo._MODE_ORDER, draws))
+        amplitude = math.sqrt(0.3) * rows[NoiseMode.INPUT_AMPLITUDE] - math.sqrt(0.7) * rows[
+            NoiseMode.TAP_VACUUM_AMPLITUDE
+        ]
+        assert np.array_equal(simulate_streams(cfg, trial=4).amplitude, amplitude)
+
+    def test_tone_continues_across_chunks(self):
+        # the tone's time axis runs over the whole run, not per chunk
+        cfg = chunked_config("tone")
+        noise_only = replace(cfg, signal_amplitude=0.0)
+        tone = simulate_streams(cfg).phase - simulate_streams(noise_only).phase
+        p = cfg.params
+        gain = math.sqrt(p.epsilon) + p.gain.real * math.sqrt(p.eta1 * (1.0 - p.epsilon))
+        t = np.arange(cfg.n_samples) / CHUNK_FS
+        want = gain * cfg.signal_amplitude * np.sin(2.0 * math.pi * cfg.signal_frequency * t)
+        assert np.max(np.abs(tone - want)) < 1e-12
+
+    def test_adjacent_chunks_uncorrelated(self):
+        x = simulate_streams(chunked_config("flat", seed=7)).phase
+        n = _CHUNK
+        first, second = x[:n], x[n : 2 * n]
+        cross = float(np.dot(first, second)) / n
+        bound = 3.0 * float(first.std() * second.std()) / math.sqrt(n)
+        assert abs(cross) < bound
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failing_chunk_raises(self, monkeypatch, cpus):
+        def failing(seed, trial, chunk=0):
+            if chunk == 2:
+                raise RuntimeError("chunk 2 failed")
+            return _substream(seed, trial, chunk)
+
+        monkeypatch.setattr(montecarlo, "_substream", failing)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        with pytest.raises(RuntimeError, match="chunk 2 failed"):
+            simulate_streams(chunked_config("bandpass"))

@@ -29,7 +29,7 @@ from phaseff import (
     transfer_ratio,
     variance_of,
 )
-from phaseff.montecarlo import MIN_SAMPLES, _substream
+from phaseff.montecarlo import _CHUNK, MIN_SAMPLES, _substream
 
 # Benchmark operating point used throughout: 20% transmission, measured
 # in-loop efficiencies, gain 3.2, inferred input phase variance 8.6 dB,
@@ -147,14 +147,26 @@ class TestModeCoefficients:
 
     def test_rows_match_monte_carlo_signal_flow(self):
         # simulate_streams states the signal flow on its own; regressing its
-        # streams on its own noise draws recovers both rows to round-off
-        config = SimConfig(params=BENCH, sample_rate=float(MIN_SAMPLES), duration=1.0, seed=5)
-        streams = simulate_streams(config, trial=3)
-        draws = _substream(config.seed, 3).standard_normal((len(NoiseMode), config.n_samples))
-        draws[column(NoiseMode.INPUT_PHASE)] *= math.sqrt(BENCH.v_phase_in)
-        outputs = np.stack([streams.amplitude, streams.phase], axis=1)
-        solution = np.linalg.lstsq(draws.T, outputs, rcond=None)[0]
-        assert np.max(np.abs(solution.T - mode_coefficients(BENCH))) < 1e-12
+        # streams on its own noise draws recovers both rows to round-off.
+        # Chunk k of a run draws from _substream(seed, trial, k); the second
+        # run ends in a partial chunk.
+        fs = float(MIN_SAMPLES)
+        for n_samples in (MIN_SAMPLES, 5 * _CHUNK // 2):
+            config = SimConfig(params=BENCH, sample_rate=fs, duration=n_samples / fs, seed=5)
+            streams = simulate_streams(config, trial=3)
+            draws = np.concatenate(
+                [
+                    _substream(config.seed, 3, k).standard_normal(
+                        (len(NoiseMode), min(_CHUNK, n_samples - start))
+                    )
+                    for k, start in enumerate(range(0, n_samples, _CHUNK))
+                ],
+                axis=1,
+            )
+            draws[column(NoiseMode.INPUT_PHASE)] *= math.sqrt(BENCH.v_phase_in)
+            outputs = np.stack([streams.amplitude, streams.phase], axis=1)
+            solution = np.linalg.lstsq(draws.T, outputs, rcond=None)[0]
+            assert np.max(np.abs(solution.T - mode_coefficients(BENCH))) < 1e-12
 
     @pytest.mark.parametrize("p", [BENCH, params_like(0.5, eta_h=0.7, gain=-1.3, v=3.0)])
     def test_expansion_variance_matches_spectrum(self, p):
