@@ -124,6 +124,72 @@ def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
     assert named in err
 
 
+# (case id, config sweep block, flags, formula and detected the run must use)
+FLAG_PRECEDENCE = [
+    ("formula-flag", {"formula": "paper", "detected": True}, ["--formula", "coefficient"],
+     "coefficient", True),
+    ("formula-config", {"formula": "coefficient", "detected": True}, [], "coefficient", True),
+    ("detected-flag", {"formula": "paper", "detected": False}, ["--detected"], "paper", True),
+    ("detected-config", {"formula": "paper", "detected": True}, [], "paper", True),
+    ("detected-off", {"formula": "paper", "detected": False}, [], "paper", False),
+]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "sweep", "fit"])
+@pytest.mark.parametrize(
+    "sweep, flags, formula, detected",
+    [case[1:] for case in FLAG_PRECEDENCE],
+    ids=[case[0] for case in FLAG_PRECEDENCE],
+)
+def test_flags_override_sweep_block(tmp_path, capsys, command, sweep, flags, formula, detected):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**BASE_CONFIG, "sweep": sweep}))
+    argv = [command, "--config", str(config), "--format", "json", *flags]
+    if command == "fit":
+        # a trace made with the settings the fit must read it with
+        trace = tmp_path / "trace.csv"
+        emit(run_sweep(BENCH, n_points=181, formula=formula, detected=detected), str(trace), "csv")
+        argv.insert(1, str(trace))
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["detected"] is detected
+    if command == "sweep":
+        want = run_sweep(BENCH, n_points=361, formula=formula, detected=detected)
+        other = run_sweep(
+            BENCH,
+            n_points=361,
+            formula="paper" if formula == "coefficient" else "coefficient",
+            detected=detected,
+        )
+        assert np.allclose(data["variance_linear"], want.variance_linear, rtol=1e-10)
+        assert not np.allclose(data["variance_linear"], other.variance_linear, rtol=1e-3)
+    else:
+        assert data["formula"] == formula
+    if command == "fit":
+        assert abs(data["k_fit"] - 3.2) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "points, flags, rows",
+    [(97, [], 97), (97, ["--points", "9"], 9), (8, ["--points", "361"], 361)],
+)
+def test_points_flag_overrides_sweep_block(tmp_path, capsys, points, flags, rows):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(edited("sweep", "points", points)))
+    assert main(["sweep", "--config", str(config), *flags]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows + 1
+
+
+@pytest.mark.parametrize("flag", ["7", "0"])
+def test_points_flag_checked_over_valid_config(tmp_path, capsys, flag):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(edited("sweep", "points", 361)))
+    assert main(["sweep", "--config", str(config), "--points", flag]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_points" in captured.err
+
+
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.json"

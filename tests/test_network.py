@@ -396,7 +396,26 @@ class TestDetection:
         assert arr.shape == (2,)
         assert math.isclose(arr[1], 9.200192, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("v,eta", [(-1.0, 0.9), (1.0, 0.0), (1.0, 1.2)])
+    @pytest.mark.parametrize(
+        "v", [11.24, np.array(11.24), np.float64(11.24)], ids=["float", "0-d", "float64"]
+    )
+    def test_scalar_input_returns_python_float(self, v):
+        out = detected_variance(v, 0.8008)
+        assert type(out) is float
+        assert out == 0.8008 * 11.24 + (1.0 - 0.8008)
+
+    @pytest.mark.parametrize(
+        "v,eta",
+        [
+            (-1.0, 0.9),
+            (1.0, 0.0),
+            (1.0, 1.2),
+            (math.nan, 0.9),
+            (np.array([1.0, math.nan]), 0.9),
+            (np.array([1.0, -0.5]), 0.9),
+            (np.array([[2.0], [math.inf]]), 0.9),
+        ],
+    )
     def test_domain_errors(self, v, eta):
         with pytest.raises(ValueError):
             detected_variance(v, eta)
