@@ -47,6 +47,16 @@ SPECTRUM_FORMULAS: Mapping[str, object] = {
 
 TRACE_HEADER = ("phase_rad", "variance_linear", "variance_db")
 
+# Most angles a sweep may have: checked before the grid is allocated, so an
+# oversized --points or sweep.points fails at once instead of exhausting memory.
+MAX_SWEEP_POINTS = 1_000_000
+
+# Width, absolute in the gain, at which the golden-section fit stops.
+FIT_TOL = 1e-6
+
+# Analysis angles of the montecarlo subcommand.
+MC_ANGLES = (0.0, math.pi / 4.0, math.pi / 2.0)
+
 _TWO_PI = 2.0 * math.pi
 
 
@@ -150,30 +160,31 @@ def run_sweep(
     formula: str = "paper",
     detected: bool = False,
 ) -> SweepTrace:
-    """Evaluate the chosen spectrum formula on a uniform [0, 2*pi] grid."""
-    if not (isinstance(n_points, int) and n_points >= 8):
-        raise ValueError(f"n_points must be an integer >= 8, got {n_points!r}")
-    spectrum = _spectrum_function(formula)
+    """Evaluate the chosen spectrum formula on a uniform [0, 2*pi] grid of
+    8 to MAX_SWEEP_POINTS angles."""
+    if not (isinstance(n_points, int) and 8 <= n_points <= MAX_SWEEP_POINTS):
+        raise ValueError(
+            f"n_points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {n_points!r}"
+        )
     phase = np.linspace(0.0, _TWO_PI, n_points)
-    values = np.asarray(spectrum(params, phase), dtype=float)
-    if detected:
-        values = detected_variance(values, params.eta_det2)
+    values = _levels(params, phase, formula, detected)
     level_db = np.array([db_from_linear(v) for v in values])
     return SweepTrace(
-        phase=phase,
-        variance_linear=values,
-        variance_db=level_db,
-        detected=bool(detected),
+        phase=phase, variance_linear=values, variance_db=level_db, detected=detected
     )
 
 
-def _spectrum_function(formula: str):
+def _levels(params: NetworkParams, phase, formula: str, detected: bool):
+    """Output quadrature variance at angle(s) phase by the named formula, read
+    through the verification stage (efficiency eta_det2) when detected."""
     try:
-        return SPECTRUM_FORMULAS[formula]
+        spectrum = SPECTRUM_FORMULAS[formula]
     except KeyError:
         raise ValueError(
             f"unknown formula {formula!r}, expected one of {sorted(SPECTRUM_FORMULAS)}"
         ) from None
+    values = spectrum(params, phase)
+    return detected_variance(values, params.eta_det2) if detected else values
 
 
 def _golden_section_min(func, lo: float, hi: float, tol: float) -> tuple[float, int]:
@@ -202,14 +213,13 @@ def fit_gain(
     params: NetworkParams,
     formula: str = "paper",
     k_max: float = 10.0,
-    tol: float = 1e-6,
 ) -> FitResult:
     """Least-squares fit of the feed-forward gain to a sweep trace.
 
     Residuals are taken in linear variance units against the chosen formula,
     with all parameters except the gain pinned to `params`.  A coarse grid
     over [0, k_max] brackets the minimum, then golden-section search narrows
-    it to `tol` (absolute in the gain).  A minimum at the k_max end of the
+    it to FIT_TOL (absolute in the gain).  A minimum at the k_max end of the
     grid is an error, not a fit.  If the trace was recorded through
     the verification stage (trace.detected), the model is read the same way.
     """
@@ -223,16 +233,10 @@ def fit_gain(
         raise ValueError("degenerate trace: variance is flat, nothing to fit")
     if not (math.isfinite(k_max) and k_max > 0.0):
         raise ValueError(f"k_max must be > 0, got {k_max!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be > 0, got {tol!r}")
-    spectrum = _spectrum_function(formula)
     target = trace.variance_linear
 
     def objective(k: float) -> float:
-        model = np.asarray(spectrum(params.with_gain(k), trace.phase), dtype=float)
-        if trace.detected:
-            model = detected_variance(model, params.eta_det2)
-        residual = model - target
+        residual = _levels(params.with_gain(k), trace.phase, formula, trace.detected) - target
         return float(np.mean(residual * residual))
 
     grid = np.linspace(0.0, k_max, 201)
@@ -245,7 +249,7 @@ def fit_gain(
         )
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    k_fit, iterations = _golden_section_min(objective, lo, hi, tol)
+    k_fit, iterations = _golden_section_min(objective, lo, hi, FIT_TOL)
     return FitResult(
         k_fit=float(k_fit),
         residual_rms=math.sqrt(objective(k_fit)),
@@ -295,17 +299,9 @@ def _trace_to_csv(trace: SweepTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trace_to_json(trace: SweepTrace) -> str:
-    payload = {
-        "detected": trace.detected,
-        "phase_rad": [_round12(x) for x in trace.phase],
-        "variance_linear": [_round12(x) for x in trace.variance_linear],
-        "variance_db": [_round12(x) for x in trace.variance_db],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _scalar_to_json(value):
+def _to_json(value):
+    if isinstance(value, np.ndarray):
+        return [_round12(x) for x in value]
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, np.integer)):
@@ -328,7 +324,7 @@ def _scalar_to_csv(value) -> str:
 
 
 def _report_to_json(report: Mapping) -> str:
-    payload = {str(k): _scalar_to_json(v) for k, v in report.items()}
+    payload = {str(k): _to_json(v) for k, v in report.items()}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -343,7 +339,10 @@ def _render(obj, fmt: str) -> str:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'json'")
     if isinstance(obj, SweepTrace):
-        return _trace_to_csv(obj) if fmt == "csv" else _trace_to_json(obj)
+        if fmt == "csv":
+            return _trace_to_csv(obj)
+        columns = (obj.phase, obj.variance_linear, obj.variance_db)
+        obj = {"detected": obj.detected, **dict(zip(TRACE_HEADER, columns))}
     if isinstance(obj, Mapping):
         return _report_to_csv(obj) if fmt == "csv" else _report_to_json(obj)
     raise TypeError(f"cannot render object of type {type(obj).__name__}")
@@ -530,31 +529,23 @@ def load_config(path: str) -> RunConfig:
 
 
 def _cmd_spectrum(args, config: RunConfig) -> dict:
-    formula = args.formula or config.sweep.formula
-    detected = args.detected or config.sweep.detected
-    params = config.network
+    sweep = config.sweep
     phi = float(args.phi)
     if not math.isfinite(phi):
         raise ValueError(f"--phi must be finite, got {args.phi!r}")
-    value = float(SPECTRUM_FORMULAS[formula](params, phi))
-    if detected:
-        value = detected_variance(value, params.eta_det2)
+    value = _levels(config.network, phi, sweep.formula, sweep.detected)
     return {
         "phi_rad": phi,
-        "formula": formula,
-        "detected": detected,
+        "formula": sweep.formula,
+        "detected": sweep.detected,
         "variance_linear": value,
         "variance_db": db_from_linear(value),
     }
 
 
 def _cmd_sweep(args, config: RunConfig) -> SweepTrace:
-    return run_sweep(
-        config.network,
-        n_points=args.points if args.points is not None else config.sweep.points,
-        formula=args.formula or config.sweep.formula,
-        detected=args.detected or config.sweep.detected,
-    )
+    sweep = config.sweep
+    return run_sweep(config.network, sweep.points, sweep.formula, sweep.detected)
 
 
 def _cmd_optimize(args, config: RunConfig) -> dict:
@@ -599,8 +590,7 @@ def _cmd_montecarlo(args, config: RunConfig) -> dict:
     sim = SimConfig(params=config.network, **config.simulation)
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
-    angles = (0.0, math.pi / 4.0, math.pi / 2.0)
-    result = oracle_compare(sim, angles)
+    result = oracle_compare(sim, MC_ANGLES)
     report = {
         "seed": sim.seed,
         "segment_count": result.segment_count,
@@ -618,22 +608,22 @@ def _cmd_montecarlo(args, config: RunConfig) -> dict:
 
 
 def _cmd_fit(args, config: RunConfig) -> dict:
-    detected = args.detected or config.sweep.detected
-    formula = args.formula or config.sweep.formula
-    trace = load_trace_csv(args.trace, detected=detected)
-    result = fit_gain(trace, config.network, formula=formula)
+    sweep = config.sweep
+    trace = load_trace_csv(args.trace, detected=sweep.detected)
+    result = fit_gain(trace, config.network, formula=sweep.formula)
     return {
         "k_fit": result.k_fit,
         "residual_rms": result.residual_rms,
         "iterations": result.iterations,
-        "formula": formula,
-        "detected": detected,
+        "formula": sweep.formula,
+        "detected": sweep.detected,
         "n_points": len(trace),
     }
 
 
 # (subcommand, function, help); the spectrum, sweep and fit subcommands also
-# take --formula and --detected.
+# take --formula and --detected, and sweep takes --points: flags named after
+# the SweepSettings fields, which main folds into the config's sweep block.
 _COMMANDS = (
     ("spectrum", _cmd_spectrum, "output quadrature variance at one analysis angle"),
     ("sweep", _cmd_sweep, "variance trace over a full local-oscillator phase sweep"),
@@ -672,7 +662,9 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument(
                 "--detected",
                 action="store_true",
-                help="fold the verification stage efficiency eta_det2 into the levels",
+                default=None,
+                help="fold the verification stage efficiency eta_det2 into the levels "
+                "(default: the config's sweep.detected, else off)",
             )
     subs["spectrum"].add_argument(
         "--phi",
@@ -681,7 +673,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="analysis angle in radians (default: pi/2, the phase quadrature)",
     )
     subs["sweep"].add_argument(
-        "--points", type=int, help="number of sweep points (default: config, else 361)"
+        "--points",
+        type=int,
+        help=f"number of sweep points, 8 to {MAX_SWEEP_POINTS} (default: config, else 361)",
     )
     subs["montecarlo"].add_argument(
         "--seed", type=int, help="override the config's simulation seed"
@@ -695,7 +689,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        result = args.func(args, load_config(args.config))
+        config = load_config(args.config)
+        flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SweepSettings)}
+        sweep = replace(config.sweep, **{k: v for k, v in flags.items() if v is not None})
+        result = args.func(args, replace(config, sweep=sweep))
         fmt = args.format or ("csv" if isinstance(result, SweepTrace) else "json")
         if args.out:
             emit(result, args.out, fmt)

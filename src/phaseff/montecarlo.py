@@ -21,6 +21,9 @@ from .network import NetworkParams, spectrum_from_modes
 
 MIN_SAMPLES = 2**14
 
+# A row passes when it lies within this many standard errors of the model.
+SIGMA_BOUND = 3.0
+
 # Row order of the white-noise draw matrix; fixed so (seed, trial, chunk) pins
 # the entire realization.
 _MODE_ORDER = tuple(NoiseMode)
@@ -341,20 +344,17 @@ def oracle_compare(
     config: SimConfig,
     angles: Sequence[float],
     segment_count: int = 64,
-    n_sigma: float = 3.0,
 ) -> OracleReport:
     """Band-averaged Monte Carlo spectra against the analytic model.
 
     Runs one independent realization per angle (trial index = position in
     `angles`), band-averages its PSD, and flags each row by how many standard
-    errors it sits from spectrum_from_modes.  Requires the flat kernel, since
-    the analytic model is single-frequency.  A configured tone is masked out
-    of the band average.
+    errors it sits from spectrum_from_modes; a row within SIGMA_BOUND passes.
+    Requires the flat kernel, since the analytic model is single-frequency.
+    A configured tone is masked out of the band average.
     """
     if not isinstance(config.kernel, FlatKernel):
         raise ValueError("analytic comparison requires the flat kernel")
-    if not (math.isfinite(n_sigma) and n_sigma > 0.0):
-        raise ValueError(f"n_sigma must be > 0, got {n_sigma!r}")
     rows = []
     for trial, phi in enumerate(angles):
         # the streams are freed once projected, before the periodogram
@@ -383,7 +383,7 @@ def oracle_compare(
                 standard_error=se,
                 analytic_variance=analytic,
                 n_sigma=z,
-                within_tolerance=z <= n_sigma,
+                within_tolerance=z <= SIGMA_BOUND,
             )
         )
     return OracleReport(

@@ -42,10 +42,7 @@ class NetworkParams:
 
     def __post_init__(self) -> None:
         for name in ("epsilon", "eta_h1", "eta_d1", "eta_det2"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and 0.0 < value <= 1.0):
-                raise ValueError(f"{name} must be in (0, 1], got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
         g = complex(self.gain)
         if not (math.isfinite(g.real) and math.isfinite(g.imag)):
             raise ValueError(f"gain must be finite, got {self.gain!r}")
@@ -259,18 +256,15 @@ def detected_variance(variance, eta: float):
     """Variance seen through a detection stage of efficiency eta.
 
     The stage attenuates the field and mixes in (1 - eta) of vacuum:
-    eta * variance + (1 - eta).  Works on scalars and arrays.
+    eta * variance + (1 - eta).  Returns a float for a scalar (or 0-d)
+    variance and an array for an array.
     """
     eta = _check_unit_interval("eta", eta)
-    if np.ndim(variance) == 0:
-        v = float(variance)
-        if not (math.isfinite(v) and v >= 0.0):
-            raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
-        return eta * v + (1.0 - eta)
     arr = np.asarray(variance, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("variance array must be finite and >= 0")
-    return eta * arr + (1.0 - eta)
+        raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
+    out = eta * arr + (1.0 - eta)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

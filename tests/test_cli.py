@@ -23,7 +23,7 @@ from phaseff import (
     report_snr,
     run_sweep,
 )
-from phaseff.cli import main
+from phaseff.cli import MAX_SWEEP_POINTS, main
 
 V_IN = 10.0**0.86
 BENCH = NetworkParams(
@@ -281,6 +281,25 @@ class TestRunSweep:
     def test_rejects_too_few_points(self):
         with pytest.raises(ValueError):
             run_sweep(BENCH, n_points=7)
+
+    def test_points_capped(self, monkeypatch):
+        assert len(run_sweep(BENCH, n_points=MAX_SWEEP_POINTS // 10**4)) == 100
+        monkeypatch.setattr("phaseff.cli.MAX_SWEEP_POINTS", 100)
+        assert len(run_sweep(BENCH, n_points=100)) == 100
+        with pytest.raises(ValueError, match="from 8 to 100,"):
+            run_sweep(BENCH, n_points=101)
+
+    def test_oversized_points_flag_fails_before_allocating(self, monkeypatch, capsys, config_path):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid must not be allocated")
+
+        monkeypatch.setattr("phaseff.cli.np.linspace", no_grid)
+        assert main(["sweep", "--config", config_path, "--points", str(10**12)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: n_points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {10**12}\n"
+        )
 
     def test_rejects_unknown_formula(self):
         with pytest.raises(ValueError, match="unknown formula"):
