@@ -107,6 +107,7 @@ MALFORMED_CONFIGS = [
     ("formula-list", "sweep", edited("sweep", "formula", ["paper"]), "sweep.formula"),
     ("top-level-not-object", "optimize", [BASE_CONFIG["network"]], "top-level"),
     ("network-not-object", "optimize", {"network": 0.2}, "network"),
+    ("epsilon-out-of-range", "optimize", edited("network", "epsilon", 2.0), "network.epsilon"),
 ]
 
 
@@ -122,6 +123,26 @@ def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["optimize", "snr", "montecarlo"])
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("duration", 0.0, "error: simulation.duration must be > 0, got 0.0\n"),
+        ("sample_rate", "1e5", "error: simulation.sample_rate must be a number, got '1e5'\n"),
+        ("kernel", {"type": "bandpass", "center_hz": 1e5, "bandwidth_hz": 10.0, "gain": 1.0},
+         "error: simulation: bandpass center must lie below Nyquist\n"),
+    ],
+    ids=["duration-zero", "sample-rate-string", "kernel-above-nyquist"],
+)
+def test_simulation_block_checked_by_every_subcommand(tmp_path, capsys, command, key, value, message):
+    # the block's values are checked by SimConfig itself, on load, and the
+    # error names the block once
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edited("simulation", key, value)))
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == message
 
 
 # (case id, config sweep block, flags, formula and detected the run must use)
@@ -331,13 +352,14 @@ class TestFitGain:
         result = fit_gain(noisy, BENCH)
         assert abs(result.k_fit - 2.0) / 2.0 <= 0.02
 
-    def test_rejects_gain_beyond_bracket(self):
+    def test_rejects_gain_beyond_bracket(self, monkeypatch):
         # the objective still falls at the grid's end, so k_max is a bound
         # and not a fit; a wider bracket recovers the gain
         trace = run_sweep(BENCH.with_gain(12.0), n_points=181)
         with pytest.raises(ValueError, match="k_max=10"):
             fit_gain(trace, BENCH)
-        assert fit_gain(trace, BENCH, k_max=20.0).k_fit == pytest.approx(12.0, abs=1e-5)
+        monkeypatch.setattr("phaseff.cli.FIT_K_MAX", 20.0)
+        assert fit_gain(trace, BENCH).k_fit == pytest.approx(12.0, abs=1e-5)
 
     def test_rejects_degenerate_trace(self):
         p = NetworkParams(epsilon=0.2, eta_h1=1.0, eta_d1=1.0, gain=0.0)
@@ -538,6 +560,11 @@ class TestCliCommands:
         )
         summed = json.loads(capsys.readouterr().out)["variance_linear"]
         assert abs(summed - closed) > 5.0
+
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_spectrum_rejects_non_finite_phi(self, capsys, config_path, phi):
+        assert main(["spectrum", "--config", config_path, "--phi", phi]) == 1
+        assert capsys.readouterr().err == f"error: --phi must be finite, got {float(phi)!r}\n"
 
     def test_optimize_report(self, capsys, config_path):
         assert main(["optimize", "--config", config_path]) == 0
