@@ -14,11 +14,12 @@ run.  Exits 1 if any angle falls outside them.  Takes about half a minute.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from phaseff import SimConfig, load_config, oracle_compare
+from phaseff import load_config, oracle_compare
 from phaseff.cli import MC_ANGLES
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
@@ -36,7 +37,7 @@ def main() -> int:
     config = load_config(str(CONFIG))
     z = np.empty((len(SEEDS), len(MC_ANGLES)))
     for i, seed in enumerate(SEEDS):
-        sim = SimConfig(params=config.network, **{**config.simulation, "seed": seed})
+        sim = replace(config.simulation, params=config.network, seed=seed)
         for j, row in enumerate(oracle_compare(sim, MC_ANGLES).rows):
             z[i, j] = (row.mc_variance - row.analytic_variance) / row.standard_error
 

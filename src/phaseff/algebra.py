@@ -9,6 +9,7 @@ has variance 1, and power levels in dB are 10*log10 of that linear variance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Mapping
@@ -98,9 +99,26 @@ def variance_of(expansion: QuadratureExpansion, sources: SourceVariances) -> flo
     return total
 
 
+def _real(name: str, value) -> float:
+    """value as a finite float if it is an int, a float or a numpy real
+    scalar (not a bool or a string); else a ValueError naming the field."""
+    # a float (numpy's float64 is one) skips the slower bool and ABC checks
+    if not isinstance(value, float) and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def db_from_linear(value: float) -> float:
     """Power dB relative to the quantum noise limit."""
-    value = float(value)
+    value = _real("value", value)
     if not value > 0.0:
         raise ValueError(f"dB undefined for non-positive variance {value!r}")
     return 10.0 * math.log10(value)
@@ -108,7 +126,4 @@ def db_from_linear(value: float) -> float:
 
 def linear_from_db(level_db: float) -> float:
     """Inverse of db_from_linear."""
-    level_db = float(level_db)
-    if not math.isfinite(level_db):
-        raise ValueError(f"dB level must be finite, got {level_db!r}")
-    return 10.0 ** (level_db / 10.0)
+    return 10.0 ** (_real("level_db", level_db) / 10.0)

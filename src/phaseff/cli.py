@@ -22,7 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import db_from_linear
+from .algebra import _real, db_from_linear
 from .montecarlo import BandpassKernel, FlatKernel, SimConfig, oracle_compare
 from .network import (
     NetworkParams,
@@ -51,13 +51,19 @@ TRACE_HEADER = ("phase_rad", "variance_linear", "variance_db")
 # oversized --points or sweep.points fails at once instead of exhausting memory.
 MAX_SWEEP_POINTS = 1_000_000
 
-# Width, absolute in the gain, at which the golden-section fit stops.
+# The fit brackets the gain on [0, FIT_K_MAX] and stops at a width of FIT_TOL.
+FIT_K_MAX = 10.0
 FIT_TOL = 1e-6
 
 # Analysis angles of the montecarlo subcommand.
 MC_ANGLES = (0.0, math.pi / 4.0, math.pi / 2.0)
 
 _TWO_PI = 2.0 * math.pi
+
+
+def _check_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +101,7 @@ class SweepTrace:
                 raise ValueError("variance_linear values must be finite and > 0")
             if not np.all(np.isfinite(self.variance_db)):
                 raise ValueError("variance_db values must be finite")
-        object.__setattr__(self, "detected", bool(self.detected))
+        _check_bool("detected", self.detected)
 
     def __len__(self) -> int:
         return int(self.phase.size)
@@ -121,10 +127,7 @@ class SnrSettings:
 
     def __post_init__(self) -> None:
         for name in (f.name for f in dataclasses.fields(self)):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -136,21 +139,30 @@ class SweepSettings:
     formula: str = "paper"
     detected: bool = False
 
+    def __post_init__(self) -> None:
+        # the range of points is run_sweep's to check
+        if isinstance(self.points, bool) or not isinstance(self.points, int):
+            raise ValueError(f"points must be an integer, got {self.points!r}")
+        if not (isinstance(self.formula, str) and self.formula in SPECTRUM_FORMULAS):
+            raise ValueError(
+                f"formula must be one of {sorted(SPECTRUM_FORMULAS)}, got {self.formula!r}"
+            )
+        _check_bool("detected", self.detected)
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed JSON config: network settings plus optional sweep, simulation,
     and SNR blocks.
 
-    simulation holds the checked SimConfig keyword arguments other than
-    params.  The SimConfig itself is built by the montecarlo subcommand, the
-    only one that runs the simulation, so a network the time domain cannot
-    run (a complex gain with the flat kernel) fails only there.
+    simulation is built against the network with its gain made real; the
+    montecarlo subcommand swaps in the network itself, so a complex gain with
+    the flat kernel, which the time domain cannot run, fails only there.
     """
 
     network: NetworkParams
     sweep: SweepSettings = field(default_factory=SweepSettings)
-    simulation: Mapping | None = None
+    simulation: SimConfig | None = None
     snr: SnrSettings | None = None
 
 
@@ -179,10 +191,11 @@ def _levels(params: NetworkParams, phase, formula: str, detected: bool):
     through the verification stage (efficiency eta_det2) when detected."""
     try:
         spectrum = SPECTRUM_FORMULAS[formula]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(
             f"unknown formula {formula!r}, expected one of {sorted(SPECTRUM_FORMULAS)}"
         ) from None
+    _check_bool("detected", detected)
     values = spectrum(params, phase)
     return detected_variance(values, params.eta_det2) if detected else values
 
@@ -208,19 +221,14 @@ def _golden_section_min(func, lo: float, hi: float, tol: float) -> tuple[float, 
     return 0.5 * (a + b), iterations
 
 
-def fit_gain(
-    trace: SweepTrace,
-    params: NetworkParams,
-    formula: str = "paper",
-    k_max: float = 10.0,
-) -> FitResult:
+def fit_gain(trace: SweepTrace, params: NetworkParams, formula: str = "paper") -> FitResult:
     """Least-squares fit of the feed-forward gain to a sweep trace.
 
     Residuals are taken in linear variance units against the chosen formula,
     with all parameters except the gain pinned to `params`.  A coarse grid
-    over [0, k_max] brackets the minimum, then golden-section search narrows
-    it to FIT_TOL (absolute in the gain).  A minimum at the k_max end of the
-    grid is an error, not a fit.  If the trace was recorded through
+    over [0, FIT_K_MAX] brackets the minimum, then golden-section search
+    narrows it to FIT_TOL (absolute in the gain).  A minimum at the FIT_K_MAX
+    end of the grid is an error, not a fit.  If the trace was recorded through
     the verification stage (trace.detected), the model is read the same way.
     """
     if len(trace) < 8:
@@ -231,20 +239,18 @@ def fit_gain(
     spread = float(np.ptp(trace.variance_linear))
     if spread <= 1e-9 * float(np.max(np.abs(trace.variance_linear))):
         raise ValueError("degenerate trace: variance is flat, nothing to fit")
-    if not (math.isfinite(k_max) and k_max > 0.0):
-        raise ValueError(f"k_max must be > 0, got {k_max!r}")
     target = trace.variance_linear
 
     def objective(k: float) -> float:
         residual = _levels(params.with_gain(k), trace.phase, formula, trace.detected) - target
         return float(np.mean(residual * residual))
 
-    grid = np.linspace(0.0, k_max, 201)
+    grid = np.linspace(0.0, FIT_K_MAX, 201)
     values = [objective(k) for k in grid]
     best = int(np.argmin(values))
     if best == grid.size - 1:
         raise ValueError(
-            f"the best gain on the [0, {k_max:g}] grid is its bound k_max={k_max:g}: "
+            f"the best gain on the [0, {FIT_K_MAX:g}] grid is its bound k_max={FIT_K_MAX:g}: "
             "the trace's gain lies beyond the bracket, so there is no fit to report"
         )
     lo = grid[max(best - 1, 0)]
@@ -411,47 +417,10 @@ def load_trace_csv(path: str, detected: bool = False) -> SweepTrace:
 
 
 # ---------------------------------------------------------------------------
-# Config file parsing.  A block's allowed keys are its dataclass's fields and
-# its required keys the fields without a default.  Each value is a JSON number
-# unless the block's parser table says otherwise; the dataclass checks ranges.
+# Config file parsing.  A block's keys are its dataclass's fields, required
+# unless they have a default, and the dataclass checks the values.  Only the
+# JSON encodings of a complex gain and of a kernel are decoded here.
 # ---------------------------------------------------------------------------
-
-
-def _number(value, label: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{label} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{label} is too large for a float") from None
-
-
-def _integer(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{label} must be an integer, got {value!r}")
-    return value
-
-
-def _flag(value, label: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"{label} must be true or false, got {value!r}")
-    return value
-
-
-def _gain(value, label: str) -> complex:
-    """A number, or a [real, imag] pair for a complex gain."""
-    if isinstance(value, list) and len(value) == 2:
-        return complex(_number(value[0], f"{label}[0]"), _number(value[1], f"{label}[1]"))
-    return complex(_number(value, label))
-
-
-def _one_of(options: Mapping):
-    def parse(value, label: str) -> str:
-        if not (isinstance(value, str) and value in options):
-            raise ValueError(f"{label} must be one of {sorted(options)}, got {value!r}")
-        return value
-
-    return parse
 
 
 def _object(block, name: str) -> dict:
@@ -460,9 +429,8 @@ def _object(block, name: str) -> dict:
     return block
 
 
-def _checked(cls, block, name: str, parsers: Mapping, skip=()) -> dict:
-    """Keyword arguments for dataclass cls, less the fields in skip, read
-    from one config block."""
+def _checked(cls, block, name: str, skip=()) -> dict:
+    """One config block, once its keys are those of dataclass cls less skip."""
     fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
     unknown = set(_object(block, name)) - {f.name for f in fields}
     if unknown:
@@ -475,11 +443,28 @@ def _checked(cls, block, name: str, parsers: Mapping, skip=()) -> dict:
     missing = required - set(block)
     if missing:
         raise ValueError(f"missing keys in {name!r} block: {sorted(missing)}")
-    return {key: parsers.get(key, _number)(value, f"{name}.{key}") for key, value in block.items()}
+    return block
 
 
-def _build(cls, block, name: str, parsers: Mapping):
-    return cls(**_checked(cls, block, name, parsers))
+def _build(cls, block, name: str, decoders: Mapping = {}, **given):
+    """Dataclass cls from one config block, decoded by decoders, plus the given
+    fields.  Its errors name the block, as block.key when about a key."""
+    kwargs = {
+        key: decoders[key](value, f"{name}.{key}") if key in decoders else value
+        for key, value in _checked(cls, block, name, skip=given).items()
+    }
+    try:
+        return cls(**kwargs, **given)
+    except ValueError as exc:
+        sep = "." if str(exc).split(" ", 1)[0] in kwargs else ": "
+        raise ValueError(f"{name}{sep}{exc}") from None
+
+
+def _gain(value, label: str):
+    """A [real, imag] pair as a complex gain; NetworkParams checks other values."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(_real(f"{label}[0]", value[0]), _real(f"{label}[1]", value[1]))
+    return value
 
 
 _KERNELS = {"flat": FlatKernel, "bandpass": BandpassKernel}
@@ -487,9 +472,11 @@ _KERNELS = {"flat": FlatKernel, "bandpass": BandpassKernel}
 
 def _kernel(block, name: str):
     """A kernel object: its "type" names the class, the other keys are its fields."""
-    kind = _one_of(_KERNELS)(_object(block, name).get("type"), f"{name}.type")
+    kind = _object(block, name).get("type")
+    if not (isinstance(kind, str) and kind in _KERNELS):
+        raise ValueError(f"{name}.type must be one of {sorted(_KERNELS)}, got {kind!r}")
     fields = {key: value for key, value in block.items() if key != "type"}
-    return _build(_KERNELS[kind], fields, name, {})
+    return _build(_KERNELS[kind], fields, name)
 
 
 def load_config(path: str) -> RunConfig:
@@ -502,24 +489,19 @@ def load_config(path: str) -> RunConfig:
     """
     with open(path) as handle:
         data = json.load(handle)
-    blocks = {
-        "network": lambda block, _: _build(NetworkParams, block, "network", {"gain": _gain}),
-        "sweep": lambda block, _: _build(
-            SweepSettings,
-            block,
-            "sweep",
-            {"points": _integer, "formula": _one_of(SPECTRUM_FORMULAS), "detected": _flag},
-        ),
-        "simulation": lambda block, _: _checked(
-            SimConfig,
-            block,
-            "simulation",
-            {"kernel": _kernel, "seed": _integer},
-            skip=("params",),
-        ),
-        "snr": lambda block, _: _build(SnrSettings, block, "snr", {}),
-    }
-    return _build(RunConfig, data, "top-level", blocks)
+    blocks = _checked(RunConfig, data, "top-level")
+    network = _build(NetworkParams, blocks["network"], "network", {"gain": _gain})
+    config = {"network": network}
+    if "sweep" in blocks:
+        config["sweep"] = _build(SweepSettings, blocks["sweep"], "sweep")
+    if "simulation" in blocks:
+        real_gain = network.with_gain(network.gain.real)
+        config["simulation"] = _build(
+            SimConfig, blocks["simulation"], "simulation", {"kernel": _kernel}, params=real_gain
+        )
+    if "snr" in blocks:
+        config["snr"] = _build(SnrSettings, blocks["snr"], "snr")
+    return RunConfig(**config)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +512,7 @@ def load_config(path: str) -> RunConfig:
 
 def _cmd_spectrum(args, config: RunConfig) -> dict:
     sweep = config.sweep
-    phi = float(args.phi)
-    if not math.isfinite(phi):
-        raise ValueError(f"--phi must be finite, got {args.phi!r}")
+    phi = _real("--phi", args.phi)
     value = _levels(config.network, phi, sweep.formula, sweep.detected)
     return {
         "phi_rad": phi,
@@ -587,7 +567,7 @@ def _cmd_snr(args, config: RunConfig) -> dict:
 def _cmd_montecarlo(args, config: RunConfig) -> dict:
     if config.simulation is None:
         raise ValueError("config has no 'simulation' block")
-    sim = SimConfig(params=config.network, **config.simulation)
+    sim = replace(config.simulation, params=config.network)
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
     result = oracle_compare(sim, MC_ANGLES)

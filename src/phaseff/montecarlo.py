@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .algebra import NoiseMode
+from .algebra import NoiseMode, _real
 from .network import NetworkParams, spectrum_from_modes
 
 MIN_SAMPLES = 2**14
@@ -51,12 +51,11 @@ class BandpassKernel:
     gain: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.center_hz) and self.center_hz > 0.0):
+        if not _real("center_hz", self.center_hz) > 0.0:
             raise ValueError(f"center_hz must be > 0, got {self.center_hz!r}")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0.0):
+        if not _real("bandwidth_hz", self.bandwidth_hz) > 0.0:
             raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz!r}")
-        if not math.isfinite(self.gain):
-            raise ValueError(f"gain must be finite, got {self.gain!r}")
+        _real("gain", self.gain)
 
 
 Kernel = Union[FlatKernel, BandpassKernel]
@@ -86,13 +85,13 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0.0):
+        if not _real("sample_rate", self.sample_rate) > 0.0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
+        if not _real("duration", self.duration) > 0.0:
             raise ValueError(f"duration must be > 0, got {self.duration!r}")
-        if not (math.isfinite(self.signal_frequency) and self.signal_frequency >= 0.0):
+        if not _real("signal_frequency", self.signal_frequency) >= 0.0:
             raise ValueError(f"signal_frequency must be >= 0, got {self.signal_frequency!r}")
-        if not (math.isfinite(self.signal_amplitude) and self.signal_amplitude >= 0.0):
+        if not _real("signal_amplitude", self.signal_amplitude) >= 0.0:
             raise ValueError(f"signal_amplitude must be >= 0, got {self.signal_amplitude!r}")
         if self.signal_frequency >= self.sample_rate / 2.0:
             raise ValueError(
@@ -142,11 +141,10 @@ class QuadratureStreams:
 
     amplitude: np.ndarray
     phase: np.ndarray
-    sample_rate: float
 
     def at_angle(self, phi: float) -> np.ndarray:
         """Projection cos(phi)*amplitude + sin(phi)*phase."""
-        phi = float(phi)
+        phi = _real("phi", phi)
         return math.cos(phi) * self.amplitude + math.sin(phi) * self.phase
 
 
@@ -248,7 +246,7 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
                 pass
 
     phase += apply_kernel(config.kernel, photocurrent, p, config.sample_rate)
-    return QuadratureStreams(amplitude=amplitude, phase=phase, sample_rate=config.sample_rate)
+    return QuadratureStreams(amplitude=amplitude, phase=phase)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +271,7 @@ def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEsti
         raise ValueError(f"series must be 1-D, got shape {series.shape}")
     if not (isinstance(segment_count, int) and segment_count >= 8):
         raise ValueError(f"segment_count must be an integer >= 8, got {segment_count!r}")
-    if not (math.isfinite(sample_rate) and sample_rate > 0.0):
+    if not _real("sample_rate", sample_rate) > 0.0:
         raise ValueError(f"sample_rate must be > 0, got {sample_rate!r}")
     seg_len = series.size // segment_count
     if seg_len < 1024:
@@ -351,10 +349,14 @@ def oracle_compare(
     `angles`), band-averages its PSD, and flags each row by how many standard
     errors it sits from spectrum_from_modes; a row within SIGMA_BOUND passes.
     Requires the flat kernel, since the analytic model is single-frequency.
-    A configured tone is masked out of the band average.
+    A configured tone is masked out of the band average.  Every angle is
+    checked before any noise is drawn.
     """
     if not isinstance(config.kernel, FlatKernel):
         raise ValueError("analytic comparison requires the flat kernel")
+    angles = [_real(f"angles[{i}]", phi) for i, phi in enumerate(angles)]
+    if not angles:
+        raise ValueError("angles must name at least one analysis angle")
     rows = []
     for trial, phi in enumerate(angles):
         # the streams are freed once projected, before the periodogram
@@ -378,7 +380,7 @@ def oracle_compare(
         z = gap / se if se > 0.0 else (0.0 if gap == 0.0 else math.inf)
         rows.append(
             OracleRow(
-                phi=float(phi),
+                phi=phi,
                 mc_variance=mc,
                 standard_error=se,
                 analytic_variance=analytic,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import NoiseMode, QuadratureExpansion, linear_from_db
+from .algebra import NoiseMode, QuadratureExpansion, _real, linear_from_db
 
 
 @dataclass(frozen=True)
@@ -43,13 +43,12 @@ class NetworkParams:
     def __post_init__(self) -> None:
         for name in ("epsilon", "eta_h1", "eta_d1", "eta_det2"):
             object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
-        g = complex(self.gain)
-        if not (math.isfinite(g.real) and math.isfinite(g.imag)):
-            raise ValueError(f"gain must be finite, got {self.gain!r}")
-        object.__setattr__(self, "gain", g)
-        v = float(self.v_phase_in)
-        if not (math.isfinite(v) and v >= 1.0):
-            raise ValueError(f"v_phase_in must be >= 1 (vacuum units), got {self.v_phase_in!r}")
+        g = self.gain
+        parts = (g.real, g.imag) if isinstance(g, (complex, np.complexfloating)) else (g, 0.0)
+        object.__setattr__(self, "gain", complex(*(_real("gain", x) for x in parts)))
+        v = _real("v_phase_in", self.v_phase_in)
+        if not v >= 1.0:
+            raise ValueError(f"v_phase_in must be >= 1 (vacuum units), got {v!r}")
         object.__setattr__(self, "v_phase_in", v)
 
     @property
@@ -58,7 +57,7 @@ class NetworkParams:
         return self.eta_h1 * self.eta_d1
 
     def with_gain(self, gain: complex) -> "NetworkParams":
-        return replace(self, gain=complex(gain))
+        return replace(self, gain=gain)
 
 
 def mode_coefficients(params: NetworkParams) -> np.ndarray:
@@ -201,8 +200,8 @@ def signal_power_gain(params: NetworkParams) -> float:
 
 
 def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and 0.0 < value <= 1.0):
+    value = _real(name, value)
+    if not 0.0 < value <= 1.0:
         raise ValueError(f"{name} must be in (0, 1], got {value!r}")
     return value
 
@@ -246,8 +245,8 @@ def max_transfer_ratio(epsilon: float, eta_h: float, eta_d: float) -> float:
 def pia_transfer_ratio(power_gain: float) -> float:
     """SNR transfer of an ideal phase-insensitive amplifier at the same
     power gain: G / (2G - 1).  Approaches 1/2 from above as G grows."""
-    power_gain = float(power_gain)
-    if not (math.isfinite(power_gain) and power_gain >= 1.0):
+    power_gain = _real("power_gain", power_gain)
+    if not power_gain >= 1.0:
         raise ValueError(f"power_gain must be >= 1, got {power_gain!r}")
     return power_gain / (2.0 * power_gain - 1.0)
 
@@ -296,10 +295,8 @@ def infer_snr(total_db: float, noise_db: float, eta: float) -> SnrInference:
     eta: (total - noise) / (noise - (1 - eta)).
     """
     eta = _check_unit_interval("eta", eta)
-    total_db = float(total_db)
-    noise_db = float(noise_db)
-    if not (math.isfinite(total_db) and math.isfinite(noise_db)):
-        raise ValueError("dB levels must be finite")
+    total_db = _real("total_db", total_db)
+    noise_db = _real("noise_db", noise_db)
     if total_db < noise_db:
         raise ValueError(
             f"total level {total_db} dB is below the noise level {noise_db} dB"
