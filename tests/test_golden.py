@@ -3,7 +3,8 @@
 Each case runs `phaseff.cli.main` in-process and compares what it wrote, to
 stdout or to its --out file, with a file under tests/golden/.  The files hold
 the output of the six README commands, their `coefficient` formula variants,
-and `--format` overrides of the default rendering.
+`--format` overrides of the default rendering, and one Monte Carlo run on
+tests/configs/multichunk.json, whose runs span several noise chunks.
 Regenerate them only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -22,6 +23,8 @@ from phaseff.cli import main
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 CONFIG = str(TESTS.parent / "configs" / "example.json")
+# 5 * 2^18 + 123 samples with a tone: the only case whose run spans several chunks
+MULTICHUNK = str(TESTS / "configs" / "multichunk.json")
 OUT = "<out>"  # replaced by a fresh path; the case then pins the --out file
 
 CASES = {
@@ -53,6 +56,7 @@ CASES = {
     ],
     "snr.json": ["snr", "--config", CONFIG],
     "montecarlo_seed12.json": ["montecarlo", "--config", CONFIG, "--seed", "12"],
+    "montecarlo_multichunk_seed12.json": ["montecarlo", "--config", MULTICHUNK, "--seed", "12"],
     # --format overrides: a sweep rendered as JSON, reports rendered as CSV
     "sweep_97.json": ["sweep", "--config", CONFIG, "--points", "97", "--format", "json"],
     "optimize.csv": ["optimize", "--config", CONFIG, "--format", "csv"],

@@ -147,6 +147,25 @@ class TestEstimatePsd:
         with pytest.raises(ValueError):
             estimate_psd(np.zeros(65536), FS, segment_count=4)
 
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize(
+        "n_samples, segment_count",
+        # the last: 8 segments of 270,000 samples, each longer than _CHUNK
+        [(65536, 64), (5 * _CHUNK + 123, 64), (8 * 270_000 + 5, 8)],
+    )
+    def test_matches_one_shot_periodogram(self, monkeypatch, cpus, n_samples, segment_count):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        rng = np.random.Generator(np.random.Philox(key=np.array([13, 2], dtype=np.uint64)))
+        series = rng.standard_normal(n_samples)
+        est = estimate_psd(series, FS, segment_count=segment_count)
+        m = n_samples // segment_count
+        segments = series[: m * segment_count].reshape(segment_count, m)
+        rows = np.abs(np.fft.rfft(segments, axis=1)) ** 2 / m
+        assert np.array_equal(est.variance, rows.mean(axis=0))
+        want_se = rows.std(axis=0, ddof=1) / math.sqrt(segment_count)
+        assert np.array_equal(est.standard_error, want_se)
+        assert np.array_equal(est.frequencies, np.fft.rfftfreq(m, d=1.0 / FS))
+
     def test_band_average_masks_tone(self):
         m, n_seg = 1024, 64
         freq = 100.0 * FS / m
@@ -332,6 +351,31 @@ class TestChunks:
         cross = float(np.dot(first, second)) / n
         bound = 3.0 * float(first.std() * second.std()) / math.sqrt(n)
         assert abs(cross) < bound
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize(
+        "name, n_samples, segment_count",
+        # the last: 8 segments of 270,000 samples, each longer than _CHUNK
+        [("tone", 5 * _CHUNK + 123, 64), ("flat", 8 * 270_000 + 5, 8)],
+    )
+    def test_oracle_rows_are_the_whole_stream_estimate(
+        self, monkeypatch, name, n_samples, segment_count, cpus
+    ):
+        cfg = chunked_config(name, n_samples=n_samples)
+        angles = [0.3, math.pi / 2.0]
+        want = []
+        for trial, phi in enumerate(angles):
+            est = estimate_psd(
+                simulate_streams(cfg, trial).at_angle(phi), CHUNK_FS, segment_count
+            )
+            if cfg.signal_amplitude > 0.0:
+                width = 3.0 * float(est.frequencies[1])
+                want.append(band_average(est, cfg.signal_frequency, width))
+            else:
+                want.append(band_average(est))
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        report = oracle_compare(cfg, angles, segment_count=segment_count)
+        assert [(row.mc_variance, row.standard_error) for row in report.rows] == want
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failing_chunk_raises(self, monkeypatch, cpus):
