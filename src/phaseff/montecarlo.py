@@ -176,76 +176,95 @@ def apply_kernel(
     raise TypeError(f"unknown kernel type {type(kernel).__name__}")
 
 
+def _chunk_streams(
+    config: SimConfig, trial: int, chunk: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The signal flow over samples [chunk * _CHUNK, (chunk + 1) * _CHUNK) of a
+    run: the output amplitude, the homodyne photocurrent and the output phase
+    before the feed-forward correction.
+
+    Draws the seven noise modes as unit-variance white series from the Philox
+    substream at counter `chunk`, scales the input phase to v_phase_in (adding
+    the coherent tone, on the run's time axis, if configured), assembles the
+    photocurrent with its efficiency-weighted vacuum contributions, and
+    splits the input between the tap and the transmitted beam.
+    """
+    p = config.params
+    eps = p.epsilon
+    eh, ed = p.eta_h1, p.eta_d1
+    start = chunk * _CHUNK
+    stop = min(start + _CHUNK, config.n_samples)
+    draws = _substream(config.seed, trial, chunk).standard_normal(
+        (len(_MODE_ORDER), stop - start)
+    )
+    rows = dict(zip(_MODE_ORDER, draws))
+
+    x_phase_in = math.sqrt(p.v_phase_in) * rows[NoiseMode.INPUT_PHASE]
+    if config.signal_amplitude > 0.0:
+        t = np.arange(start, stop) / config.sample_rate
+        x_phase_in = x_phase_in + config.signal_amplitude * np.sin(
+            2.0 * math.pi * config.signal_frequency * t
+        )
+
+    photocurrent = (
+        math.sqrt(eh * ed * (1.0 - eps)) * x_phase_in
+        + math.sqrt(ed * eh * eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
+        + math.sqrt(ed * (1.0 - eh)) * rows[NoiseMode.HOMODYNE_MISMATCH_PHASE]
+        + math.sqrt((1.0 - ed) / 2.0)
+        * (rows[NoiseMode.DETECTOR_VACUUM_1] + rows[NoiseMode.DETECTOR_VACUUM_2])
+    )
+    amplitude = math.sqrt(eps) * rows[NoiseMode.INPUT_AMPLITUDE] - math.sqrt(
+        1.0 - eps
+    ) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
+    phase = (
+        math.sqrt(eps) * x_phase_in - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
+    )
+    return amplitude, photocurrent, phase
+
+
+def _parallel(fn, count: int) -> None:
+    """Call fn(0), ..., fn(count - 1): in order when one CPU is usable, else
+    on a thread per usable CPU.  numpy releases the GIL while drawing, in the
+    ufuncs and in the FFT, so the calls run in parallel; each must write only
+    its own slice of shared output.  A failed call's exception is re-raised."""
+    workers = min(_usable_cpus(), count)
+    if workers <= 1:
+        for i in range(count):
+            fn(i)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for _ in pool.map(fn, range(count)):
+            pass
+
+
 def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     """Generate one realization of the output quadrature streams.
 
-    Draws the seven noise modes as unit-variance white series, scales the
-    input phase to v_phase_in (adding the coherent tone if configured),
-    assembles the homodyne photocurrent with its efficiency-weighted vacuum
-    contributions, runs it through the kernel, and applies the correction to
-    the transmitted beam's phase quadrature.
+    Fills the whole run from _chunk_streams, runs the photocurrent through
+    the kernel, and applies the correction to the transmitted beam's phase
+    quadrature.
 
-    The noise is drawn in chunks of _CHUNK = 2^18 samples; chunk k comes from
-    the Philox substream keyed on (seed, trial) at counter k, and the chunks
-    are filled on every usable CPU.  The output is the same whatever the
-    thread count.  Runs of at most 2^18 samples are one chunk and draw the
-    same stream as before chunking; longer runs are a different realization
-    than before.  The kernel then runs once over the whole photocurrent, so a
-    causal filter carries no state across chunks.
+    Chunk k of _CHUNK = 2^18 samples comes from the Philox substream keyed on
+    (seed, trial) at counter k, and the chunks are filled on every usable
+    CPU, so the output is the same whatever the thread count.  The kernel
+    runs once over the whole photocurrent, so a causal filter carries no
+    state across chunks.
     """
-    p = config.params
     n = config.n_samples
-    eps = p.epsilon
-    eh, ed = p.eta_h1, p.eta_d1
     amplitude = np.empty(n)
     photocurrent = np.empty(n)
     phase = np.empty(n)
 
     def fill(chunk: int) -> None:
-        start = chunk * _CHUNK
-        stop = min(start + _CHUNK, n)
-        draws = _substream(config.seed, trial, chunk).standard_normal(
-            (len(_MODE_ORDER), stop - start)
-        )
-        rows = dict(zip(_MODE_ORDER, draws))
-
-        x_phase_in = math.sqrt(p.v_phase_in) * rows[NoiseMode.INPUT_PHASE]
-        if config.signal_amplitude > 0.0:
-            t = np.arange(start, stop) / config.sample_rate
-            x_phase_in = x_phase_in + config.signal_amplitude * np.sin(
-                2.0 * math.pi * config.signal_frequency * t
-            )
-
-        photocurrent[start:stop] = (
-            math.sqrt(eh * ed * (1.0 - eps)) * x_phase_in
-            + math.sqrt(ed * eh * eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
-            + math.sqrt(ed * (1.0 - eh)) * rows[NoiseMode.HOMODYNE_MISMATCH_PHASE]
-            + math.sqrt((1.0 - ed) / 2.0)
-            * (rows[NoiseMode.DETECTOR_VACUUM_1] + rows[NoiseMode.DETECTOR_VACUUM_2])
-        )
-        amplitude[start:stop] = math.sqrt(eps) * rows[
-            NoiseMode.INPUT_AMPLITUDE
-        ] - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
-        phase[start:stop] = (
-            math.sqrt(eps) * x_phase_in
-            - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
+        part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
+        amplitude[part], photocurrent[part], phase[part] = _chunk_streams(
+            config, trial, chunk
         )
 
-    n_chunks = -(-n // _CHUNK)
-    workers = min(_usable_cpus(), n_chunks)
-    if workers == 1:
-        for chunk in range(n_chunks):
-            fill(chunk)
-    else:
-        # numpy releases the GIL while drawing and in the ufuncs, so threads
-        # fill chunks in parallel; map re-raises a failed chunk's exception.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(fill, range(n_chunks)):
-                pass
-
-    phase += apply_kernel(config.kernel, photocurrent, p, config.sample_rate)
+    _parallel(fill, -(-n // _CHUNK))
+    phase += apply_kernel(config.kernel, photocurrent, config.params, config.sample_rate)
     return QuadratureStreams(amplitude=amplitude, phase=phase)
 
 
@@ -280,7 +299,15 @@ def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEsti
             f"leaves {seg_len} per segment, need at least 1024"
         )
     segments = series[: seg_len * segment_count].reshape(segment_count, seg_len)
-    periodograms = np.abs(np.fft.rfft(segments, axis=1)) ** 2 / seg_len
+    periodograms = np.empty((segment_count, seg_len // 2 + 1))
+    # blocks of about _CHUNK samples, at least one segment each, on every CPU
+    per_block = max(1, _CHUNK // seg_len)
+
+    def rows(block: int) -> None:
+        part = slice(block * per_block, (block + 1) * per_block)
+        periodograms[part] = np.abs(np.fft.rfft(segments[part], axis=1)) ** 2 / seg_len
+
+    _parallel(rows, -(-segment_count // per_block))
     variance = periodograms.mean(axis=0)
     standard_error = periodograms.std(axis=0, ddof=1) / math.sqrt(segment_count)
     frequencies = np.fft.rfftfreq(seg_len, d=1.0 / sample_rate)
@@ -350,22 +377,33 @@ def oracle_compare(
     errors it sits from spectrum_from_modes; a row within SIGMA_BOUND passes.
     Requires the flat kernel, since the analytic model is single-frequency.
     A configured tone is masked out of the band average.  Every angle is
-    checked before any noise is drawn.
+    checked before any noise is drawn.  Each realization is projected at its
+    angle chunk by chunk on every usable CPU, so the whole streams are never
+    held; the rows equal those of
+    estimate_psd(simulate_streams(config, trial).at_angle(phi)) bit for bit.
     """
     if not isinstance(config.kernel, FlatKernel):
         raise ValueError("analytic comparison requires the flat kernel")
     angles = [_real(f"angles[{i}]", phi) for i, phi in enumerate(angles)]
     if not angles:
         raise ValueError("angles must name at least one analysis angle")
+    n = config.n_samples
     rows = []
     for trial, phi in enumerate(angles):
-        # the streams are freed once projected, before the periodogram
-        # allocates
-        estimate = estimate_psd(
-            simulate_streams(config, trial=trial).at_angle(phi),
-            config.sample_rate,
-            segment_count=segment_count,
-        )
+        # each chunk is projected as soon as it is drawn, so only the
+        # projected series is ever held whole
+        series = np.empty(n)
+
+        def fill(chunk: int) -> None:
+            amplitude, photocurrent, phase = _chunk_streams(config, trial, chunk)
+            phase += apply_kernel(config.kernel, photocurrent, config.params, config.sample_rate)
+            series[chunk * _CHUNK : (chunk + 1) * _CHUNK] = QuadratureStreams(
+                amplitude, phase
+            ).at_angle(phi)
+
+        _parallel(fill, -(-n // _CHUNK))
+        estimate = estimate_psd(series, config.sample_rate, segment_count=segment_count)
+        del series
         if config.signal_amplitude > 0.0:
             bin_width = float(estimate.frequencies[1])
             mc, se = band_average(

@@ -120,6 +120,20 @@ def output_expansion(params: NetworkParams, phi: float) -> QuadratureExpansion:
     return QuadratureExpansion(dict(zip(NoiseMode, row)))
 
 
+def _reals(name: str, value) -> np.ndarray:
+    """value as a float array if it is a real number or an array of real
+    numbers, all finite; a bool, a string or any other object, alone or in
+    an array, raises a ValueError naming the field, as do NaN and +-inf.
+    The array entry points' counterpart of algebra._real."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a real number or an array of them, got {value!r}")
+    arr = arr.astype(float, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return arr
+
+
 def spectrum_from_modes(params: NetworkParams, phi):
     """Output quadrature variance at angle phi, summed mode by mode.
 
@@ -127,9 +141,7 @@ def spectrum_from_modes(params: NetworkParams, phi):
     amplitude sits at the vacuum level and the phase at v_phase_in.  Accepts
     a scalar angle or an array of angles.
     """
-    angles = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(angles)):
-        raise ValueError(f"phi must be finite, got {phi!r}")
+    angles = _reals("phi", phi)
     amplitude, phase = mode_coefficients(params)
     rows = np.cos(angles)[..., None] * amplitude + np.sin(angles)[..., None] * phase
     weights = rows.real * rows.real + rows.imag * rows.imag
@@ -157,7 +169,7 @@ def spectrum_closed_form(params: NetworkParams, phi):
     k = params.gain
     v = params.v_phase_in
 
-    angles = np.asarray(phi, dtype=float)
+    angles = _reals("phi", phi)
     s2 = np.sin(angles) ** 2
     c2 = np.cos(angles) ** 2
 
@@ -259,9 +271,9 @@ def detected_variance(variance, eta: float):
     variance and an array for an array.
     """
     eta = _check_unit_interval("eta", eta)
-    arr = np.asarray(variance, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError(f"variance must be finite and >= 0, got {variance!r}")
+    arr = _reals("variance", variance)
+    if np.any(arr < 0.0):
+        raise ValueError(f"variance must be >= 0, got {variance!r}")
     out = eta * arr + (1.0 - eta)
     return float(out) if out.ndim == 0 else out
 

@@ -1,6 +1,7 @@
 """One domain rule for every scalar the model takes: a number field accepts
 an int, a float or a numpy real scalar, and refuses a bool, a string, an int
-too large for a float and NaN or +-inf with a ValueError naming the field."""
+too large for a float and NaN or +-inf with a ValueError naming the field.
+The array entry points hold their elements to the same rule."""
 
 import math
 import re
@@ -26,6 +27,8 @@ from phaseff import (
     oracle_compare,
     pia_transfer_ratio,
     run_sweep,
+    spectrum_closed_form,
+    spectrum_from_modes,
 )
 from phaseff import montecarlo
 
@@ -107,6 +110,53 @@ def test_numpy_and_int_scalars_accepted(value):
     assert type(db_from_linear(value)) is float
 
 
+# (entry point, call with the array under test, the name its error must give)
+ARRAY_FIELDS = [
+    ("spectrum_from_modes", lambda x: spectrum_from_modes(P, x), "phi"),
+    ("spectrum_closed_form", lambda x: spectrum_closed_form(P, x), "phi"),
+    ("detected_variance", lambda x: detected_variance(x, 0.9), "variance"),
+]
+
+# bools, strings and objects, alone or in an array, and non-finite elements
+NOT_ARRAYS = [
+    True,
+    np.array([True, False]),
+    "0.5",
+    ["0.5", "1.5"],
+    np.array(["2"]),
+    10**400,
+    np.array([0.5, 1.0], dtype=object),
+    np.array([1.0, math.nan]),
+    [math.inf],
+]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    NOT_ARRAYS,
+    ids=[
+        "bool", "bool-array", "string", "string-list", "string-array", "too-large",
+        "object-array", "nan", "inf",
+    ],
+)
+@pytest.mark.parametrize(
+    "call, name", [case[1:] for case in ARRAY_FIELDS], ids=[case[0] for case in ARRAY_FIELDS]
+)
+def test_array_field_rejects_non_numbers(call, name, bad):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} "):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "value", [1, np.int64(1), np.float32(1.0), [0, 1], np.arange(3, dtype=np.uint8)]
+)
+@pytest.mark.parametrize(
+    "call", [case[1] for case in ARRAY_FIELDS], ids=[case[0] for case in ARRAY_FIELDS]
+)
+def test_array_field_accepts_real_numbers(call, value):
+    assert np.array_equal(call(value), call(np.asarray(value, dtype=float)))
+
+
 def test_complex_gain_parts_checked():
     with pytest.raises(ValueError, match="^gain "):
         NetworkParams(**{**NETWORK, "gain": complex(1.0, math.inf)})
@@ -148,7 +198,7 @@ class TestOracleAngles:
         def refuse(*args, **kwargs):
             raise AssertionError("noise drawn before the angles were checked")
 
-        monkeypatch.setattr(montecarlo, "simulate_streams", refuse)
+        monkeypatch.setattr(montecarlo, "_substream", refuse)
 
     def test_empty_angles_rejected(self, no_draw):
         with pytest.raises(ValueError, match="angles"):

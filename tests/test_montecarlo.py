@@ -5,6 +5,7 @@ All statistical assertions run with fixed seeds, so they are deterministic.
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -376,6 +377,20 @@ class TestChunks:
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         report = oracle_compare(cfg, angles, segment_count=segment_count)
         assert [(row.mc_variance, row.standard_error) for row in report.rows] == want
+
+    def test_oracle_peak_memory_per_sample(self, monkeypatch):
+        # one CPU holds the projected series (8 B per sample), the periodogram
+        # rows (about 4) and one chunk's draws; three whole streams took 32
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        n = 2**22
+        cfg = SimConfig(params=make_params(gain=2.0), sample_rate=FS, duration=n / FS, seed=3)
+        tracemalloc.start()
+        try:
+            oracle_compare(cfg, [1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 20.0
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failing_chunk_raises(self, monkeypatch, cpus):
