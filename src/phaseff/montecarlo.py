@@ -283,7 +283,9 @@ def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEsti
     Normalization: |rfft(segment)|^2 / m, so a unit-variance white input
     averages to 1.0 in every bin and a sinusoid of amplitude a centred on an
     interior bin contributes a^2 * m / 4 (m = segment length).  Standard
-    errors come from the scatter of the per-segment periodograms.
+    errors come from the scatter of the per-segment periodograms.  The rows
+    are transformed in blocks of about _CHUNK samples on every usable CPU;
+    the result does not depend on the thread count.
     """
     series = np.asarray(series, dtype=float)
     if series.ndim != 1:
@@ -300,14 +302,13 @@ def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEsti
         )
     segments = series[: seg_len * segment_count].reshape(segment_count, seg_len)
     periodograms = np.empty((segment_count, seg_len // 2 + 1))
-    # blocks of about _CHUNK samples, at least one segment each, on every CPU
-    per_block = max(1, _CHUNK // seg_len)
+    per_block = max(1, _CHUNK // seg_len)  # at least one segment per block
 
-    def rows(block: int) -> None:
+    def fill_rows(block: int) -> None:
         part = slice(block * per_block, (block + 1) * per_block)
         periodograms[part] = np.abs(np.fft.rfft(segments[part], axis=1)) ** 2 / seg_len
 
-    _parallel(rows, -(-segment_count // per_block))
+    _parallel(fill_rows, -(-segment_count // per_block))
     variance = periodograms.mean(axis=0)
     standard_error = periodograms.std(axis=0, ddof=1) / math.sqrt(segment_count)
     frequencies = np.fft.rfftfreq(seg_len, d=1.0 / sample_rate)
@@ -403,7 +404,7 @@ def oracle_compare(
 
         _parallel(fill, -(-n // _CHUNK))
         estimate = estimate_psd(series, config.sample_rate, segment_count=segment_count)
-        del series
+        del series  # freed before the next angle allocates its own
         if config.signal_amplitude > 0.0:
             bin_width = float(estimate.frequencies[1])
             mc, se = band_average(

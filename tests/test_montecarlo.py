@@ -375,7 +375,12 @@ class TestChunks:
             else:
                 want.append(band_average(est))
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        report = oracle_compare(cfg, angles, segment_count=segment_count)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the chunk and block threads finely
+        try:
+            report = oracle_compare(cfg, angles, segment_count=segment_count)
+        finally:
+            sys.setswitchinterval(interval)
         assert [(row.mc_variance, row.standard_error) for row in report.rows] == want
 
     def test_oracle_peak_memory_per_sample(self, monkeypatch):
