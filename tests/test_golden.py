@@ -23,7 +23,9 @@ from phaseff.cli import main
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 CONFIG = str(TESTS.parent / "configs" / "example.json")
-# 5 * 2^18 + 123 samples with a tone: the only case whose run spans several chunks
+# 5 * 2^18 + 16,443 samples with a tone: the only case whose run spans several
+# chunks, the last one partial; its 64 segments of 20,736 = 2^8 * 3^4 samples
+# keep the FFT on a fast length
 MULTICHUNK = str(TESTS / "configs" / "multichunk.json")
 OUT = "<out>"  # replaced by a fresh path; the case then pins the --out file
 
