@@ -180,12 +180,7 @@ def run_sweep(
         )
     phase = np.linspace(0.0, _TWO_PI, n_points)
     values = _levels(params, phase, formula, detected)
-    bad = ~(np.isfinite(values) & (values > 0.0))
-    if bad.any():
-        db_from_linear(values[bad][0])  # raises the scalar rule's error
-    # the same 10 * math.log10 as db_from_linear, without a Python call per
-    # point; numpy's log10 differs from it in the last bit on some CPUs
-    level_db = 10.0 * np.fromiter(map(math.log10, values.tolist()), float, values.size)
+    level_db = np.array([db_from_linear(v) for v in values])
     return SweepTrace(
         phase=phase, variance_linear=values, variance_db=level_db, detected=detected
     )

@@ -177,11 +177,17 @@ def apply_kernel(
 
 
 def _chunk_streams(
-    config: SimConfig, trial: int, chunk: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    config: SimConfig,
+    trial: int,
+    chunk: int,
+    amplitude: np.ndarray,
+    photocurrent: np.ndarray,
+    phase: np.ndarray,
+) -> None:
     """The signal flow over samples [chunk * _CHUNK, (chunk + 1) * _CHUNK) of a
-    run: the output amplitude, the homodyne photocurrent and the output phase
-    before the feed-forward correction.
+    run, written into the three given arrays of the chunk's length: the
+    output amplitude, the homodyne photocurrent and the output phase before
+    the feed-forward correction.
 
     Draws the seven noise modes as unit-variance white series from the Philox
     substream at counter `chunk`, scales the input phase to v_phase_in (adding
@@ -206,20 +212,19 @@ def _chunk_streams(
             2.0 * math.pi * config.signal_frequency * t
         )
 
-    photocurrent = (
+    photocurrent[...] = (
         math.sqrt(eh * ed * (1.0 - eps)) * x_phase_in
         + math.sqrt(ed * eh * eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
         + math.sqrt(ed * (1.0 - eh)) * rows[NoiseMode.HOMODYNE_MISMATCH_PHASE]
         + math.sqrt((1.0 - ed) / 2.0)
         * (rows[NoiseMode.DETECTOR_VACUUM_1] + rows[NoiseMode.DETECTOR_VACUUM_2])
     )
-    amplitude = math.sqrt(eps) * rows[NoiseMode.INPUT_AMPLITUDE] - math.sqrt(
+    amplitude[...] = math.sqrt(eps) * rows[NoiseMode.INPUT_AMPLITUDE] - math.sqrt(
         1.0 - eps
     ) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
-    phase = (
+    phase[...] = (
         math.sqrt(eps) * x_phase_in - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
     )
-    return amplitude, photocurrent, phase
 
 
 def _parallel(fn, count: int) -> None:
@@ -259,8 +264,8 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
 
     def fill(chunk: int) -> None:
         part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
-        amplitude[part], photocurrent[part], phase[part] = _chunk_streams(
-            config, trial, chunk
+        _chunk_streams(
+            config, trial, chunk, amplitude[part], photocurrent[part], phase[part]
         )
 
     _parallel(fill, -(-n // _CHUNK))
@@ -391,16 +396,16 @@ def oracle_compare(
     n = config.n_samples
     rows = []
     for trial, phi in enumerate(angles):
-        # each chunk is projected as soon as it is drawn, so only the
-        # projected series is ever held whole
+        # each chunk's phase is drawn into the series and projected there, so
+        # only the projected series is ever held whole
         series = np.empty(n)
 
         def fill(chunk: int) -> None:
-            amplitude, photocurrent, phase = _chunk_streams(config, trial, chunk)
+            phase = series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
+            amplitude, photocurrent = np.empty(phase.size), np.empty(phase.size)
+            _chunk_streams(config, trial, chunk, amplitude, photocurrent, phase)
             phase += apply_kernel(config.kernel, photocurrent, config.params, config.sample_rate)
-            series[chunk * _CHUNK : (chunk + 1) * _CHUNK] = QuadratureStreams(
-                amplitude, phase
-            ).at_angle(phi)
+            phase[...] = QuadratureStreams(amplitude, phase).at_angle(phi)
 
         _parallel(fill, -(-n // _CHUNK))
         estimate = estimate_psd(series, config.sample_rate, segment_count=segment_count)

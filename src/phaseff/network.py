@@ -121,17 +121,20 @@ def output_expansion(params: NetworkParams, phi: float) -> QuadratureExpansion:
 
 
 def _reals(name: str, value) -> np.ndarray:
-    """value as a float array if it is a real number or an array of real
-    numbers, all finite; a bool, a string or any other object, alone or in
-    an array, raises a ValueError naming the field, as do NaN and +-inf.
-    The array entry points' counterpart of algebra._real."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be a real number or an array of them, got {value!r}")
-    arr = arr.astype(float, copy=False)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return arr
+    """value as a float array, each element held to algebra._real's rule.
+
+    An int or float numpy array is only checked for NaN and +-inf; a scalar,
+    a list or any other array goes through _real element by element, so a
+    bool or a string is refused even inside a list of floats."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
+        arr = value.astype(float, copy=False)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+        return arr
+    items = np.asarray(value, dtype=object)
+    if items.ndim == 0:
+        return np.asarray(_real(name, items.item()))
+    return np.vectorize(lambda item: _real(name, item), otypes=[float])(items)
 
 
 def spectrum_from_modes(params: NetworkParams, phi):

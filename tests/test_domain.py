@@ -5,6 +5,7 @@ The array entry points hold their elements to the same rule."""
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -117,15 +118,17 @@ ARRAY_FIELDS = [
     ("detected_variance", lambda x: detected_variance(x, 0.9), "variance"),
 ]
 
-# bools, strings and objects, alone or in an array, and non-finite elements
+# bools, strings and other objects, alone, in an array or among floats, and
+# non-finite elements
 NOT_ARRAYS = [
     True,
     np.array([True, False]),
+    [True, 0.5],
     "0.5",
     ["0.5", "1.5"],
     np.array(["2"]),
     10**400,
-    np.array([0.5, 1.0], dtype=object),
+    np.array([0.5, "1.0"], dtype=object),
     np.array([1.0, math.nan]),
     [math.inf],
 ]
@@ -135,8 +138,8 @@ NOT_ARRAYS = [
     "bad",
     NOT_ARRAYS,
     ids=[
-        "bool", "bool-array", "string", "string-list", "string-array", "too-large",
-        "object-array", "nan", "inf",
+        "bool", "bool-array", "bool-among-floats", "string", "string-list",
+        "string-array", "too-large", "object-array", "nan", "inf",
     ],
 )
 @pytest.mark.parametrize(
@@ -147,8 +150,19 @@ def test_array_field_rejects_non_numbers(call, name, bad):
         call(bad)
 
 
+# every real number _real takes, alone or in a list or an object array
 @pytest.mark.parametrize(
-    "value", [1, np.int64(1), np.float32(1.0), [0, 1], np.arange(3, dtype=np.uint8)]
+    "value",
+    [
+        1,
+        np.int64(1),
+        np.float32(1.0),
+        Fraction(1, 2),
+        [0, 1],
+        [Fraction(1, 4), 0.5],
+        np.array([0.5, 1], dtype=object),
+        np.arange(3, dtype=np.uint8),
+    ],
 )
 @pytest.mark.parametrize(
     "call", [case[1] for case in ARRAY_FIELDS], ids=[case[0] for case in ARRAY_FIELDS]
