@@ -177,23 +177,21 @@ def apply_kernel(
 
 
 def _chunk_streams(
-    config: SimConfig,
-    trial: int,
-    chunk: int,
-    amplitude: np.ndarray,
-    photocurrent: np.ndarray,
-    phase: np.ndarray,
-) -> None:
+    config: SimConfig, trial: int, chunk: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The signal flow over samples [chunk * _CHUNK, (chunk + 1) * _CHUNK) of a
-    run, written into the three given arrays of the chunk's length: the
-    output amplitude, the homodyne photocurrent and the output phase before
-    the feed-forward correction.
+    run: the output amplitude, the homodyne photocurrent and the output phase
+    before the feed-forward correction.
 
     Draws the seven noise modes as unit-variance white series from the Philox
     substream at counter `chunk`, scales the input phase to v_phase_in (adding
     the coherent tone, on the run's time axis, if configured), assembles the
     photocurrent with its efficiency-weighted vacuum contributions, and
-    splits the input between the tap and the transmitted beam.
+    splits the input between the tap and the transmitted beam.  Each result
+    is written over a row of the draws that no later step reads, so a chunk
+    holds no more than its draws and one expression's temporaries.  On the
+    worker threads the allocator keeps a chunk's peak for reuse, so this
+    bounds what the threads add to the process's peak memory.
     """
     p = config.params
     eps = p.epsilon
@@ -205,13 +203,15 @@ def _chunk_streams(
     )
     rows = dict(zip(_MODE_ORDER, draws))
 
-    x_phase_in = math.sqrt(p.v_phase_in) * rows[NoiseMode.INPUT_PHASE]
+    x_phase_in = rows[NoiseMode.INPUT_PHASE]
+    x_phase_in *= math.sqrt(p.v_phase_in)
     if config.signal_amplitude > 0.0:
         t = np.arange(start, stop) / config.sample_rate
-        x_phase_in = x_phase_in + config.signal_amplitude * np.sin(
+        x_phase_in += config.signal_amplitude * np.sin(
             2.0 * math.pi * config.signal_frequency * t
         )
 
+    photocurrent = rows[NoiseMode.DETECTOR_VACUUM_1]
     photocurrent[...] = (
         math.sqrt(eh * ed * (1.0 - eps)) * x_phase_in
         + math.sqrt(ed * eh * eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
@@ -219,12 +219,15 @@ def _chunk_streams(
         + math.sqrt((1.0 - ed) / 2.0)
         * (rows[NoiseMode.DETECTOR_VACUUM_1] + rows[NoiseMode.DETECTOR_VACUUM_2])
     )
-    amplitude[...] = math.sqrt(eps) * rows[NoiseMode.INPUT_AMPLITUDE] - math.sqrt(
-        1.0 - eps
-    ) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
+    amplitude = rows[NoiseMode.INPUT_AMPLITUDE]
+    amplitude[...] = math.sqrt(eps) * amplitude - math.sqrt(1.0 - eps) * rows[
+        NoiseMode.TAP_VACUUM_AMPLITUDE
+    ]
+    phase = x_phase_in
     phase[...] = (
         math.sqrt(eps) * x_phase_in - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
     )
+    return amplitude, photocurrent, phase
 
 
 def _parallel(fn, count: int) -> None:
@@ -264,8 +267,8 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
 
     def fill(chunk: int) -> None:
         part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
-        _chunk_streams(
-            config, trial, chunk, amplitude[part], photocurrent[part], phase[part]
+        amplitude[part], photocurrent[part], phase[part] = _chunk_streams(
+            config, trial, chunk
         )
 
     _parallel(fill, -(-n // _CHUNK))
@@ -396,16 +399,16 @@ def oracle_compare(
     n = config.n_samples
     rows = []
     for trial, phi in enumerate(angles):
-        # each chunk's phase is drawn into the series and projected there, so
-        # only the projected series is ever held whole
+        # each chunk is projected as soon as it is drawn, so only the
+        # projected series is ever held whole
         series = np.empty(n)
 
         def fill(chunk: int) -> None:
-            phase = series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
-            amplitude, photocurrent = np.empty(phase.size), np.empty(phase.size)
-            _chunk_streams(config, trial, chunk, amplitude, photocurrent, phase)
+            amplitude, photocurrent, phase = _chunk_streams(config, trial, chunk)
             phase += apply_kernel(config.kernel, photocurrent, config.params, config.sample_rate)
-            phase[...] = QuadratureStreams(amplitude, phase).at_angle(phi)
+            series[chunk * _CHUNK : (chunk + 1) * _CHUNK] = QuadratureStreams(
+                amplitude, phase
+            ).at_angle(phi)
 
         _parallel(fill, -(-n // _CHUNK))
         estimate = estimate_psd(series, config.sample_rate, segment_count=segment_count)
