@@ -177,21 +177,26 @@ def apply_kernel(
 
 
 def _chunk_streams(
-    config: SimConfig, trial: int, chunk: int
+    config: SimConfig,
+    trial: int,
+    chunk: int,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The signal flow over samples [chunk * _CHUNK, (chunk + 1) * _CHUNK) of a
     run: the output amplitude, the homodyne photocurrent and the output phase
-    before the feed-forward correction.
+    before the feed-forward correction, written into `out` (three arrays of
+    the chunk's length) if given and returned.
 
     Draws the seven noise modes as unit-variance white series from the Philox
     substream at counter `chunk`, scales the input phase to v_phase_in (adding
     the coherent tone, on the run's time axis, if configured), assembles the
     photocurrent with its efficiency-weighted vacuum contributions, and
-    splits the input between the tap and the transmitted beam.  Each result
-    is written over a row of the draws that no later step reads, so a chunk
-    holds no more than its draws and one expression's temporaries.  On the
-    worker threads the allocator keeps a chunk's peak for reuse, so this
-    bounds what the threads add to the process's peak memory.
+    splits the input between the tap and the transmitted beam.  Without
+    `out`, each result is written over a row of the draws that no later step
+    reads, so a chunk holds no more than its draws and one expression's
+    temporaries.  On the worker threads the allocator keeps a chunk's peak
+    for reuse, so this bounds what the threads add to the process's peak
+    memory.
     """
     p = config.params
     eps = p.epsilon
@@ -211,7 +216,9 @@ def _chunk_streams(
             2.0 * math.pi * config.signal_frequency * t
         )
 
-    photocurrent = rows[NoiseMode.DETECTOR_VACUUM_1]
+    amplitude, photocurrent, phase = out or (
+        rows[NoiseMode.INPUT_AMPLITUDE], rows[NoiseMode.DETECTOR_VACUUM_1], x_phase_in
+    )
     photocurrent[...] = (
         math.sqrt(eh * ed * (1.0 - eps)) * x_phase_in
         + math.sqrt(ed * eh * eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
@@ -219,11 +226,9 @@ def _chunk_streams(
         + math.sqrt((1.0 - ed) / 2.0)
         * (rows[NoiseMode.DETECTOR_VACUUM_1] + rows[NoiseMode.DETECTOR_VACUUM_2])
     )
-    amplitude = rows[NoiseMode.INPUT_AMPLITUDE]
-    amplitude[...] = math.sqrt(eps) * amplitude - math.sqrt(1.0 - eps) * rows[
-        NoiseMode.TAP_VACUUM_AMPLITUDE
-    ]
-    phase = x_phase_in
+    amplitude[...] = math.sqrt(eps) * rows[NoiseMode.INPUT_AMPLITUDE] - math.sqrt(
+        1.0 - eps
+    ) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
     phase[...] = (
         math.sqrt(eps) * x_phase_in - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
     )
@@ -267,9 +272,7 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
 
     def fill(chunk: int) -> None:
         part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
-        amplitude[part], photocurrent[part], phase[part] = _chunk_streams(
-            config, trial, chunk
-        )
+        _chunk_streams(config, trial, chunk, (amplitude[part], photocurrent[part], phase[part]))
 
     _parallel(fill, -(-n // _CHUNK))
     phase += apply_kernel(config.kernel, photocurrent, config.params, config.sample_rate)
