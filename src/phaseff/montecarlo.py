@@ -135,17 +135,61 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _check_1d(name: str, value, size: int | None = None) -> None:
+    """Refuse anything but a 1-D numpy array (of `size` samples, if given),
+    naming the field."""
+    if not (isinstance(value, np.ndarray) and value.ndim == 1):
+        got = f"shape {value.shape}" if isinstance(value, np.ndarray) else type(value).__name__
+        raise ValueError(f"{name} must be a 1-D array, got {got}")
+    if size is not None and value.size != size:
+        raise ValueError(f"{name} has {value.size} samples, need {size}")
+
+
+def _check_out(out, *inputs: np.ndarray) -> None:
+    """Refuse an `out` that is not a 1-D array of the inputs' length, or that
+    shares memory with an input without being that input element for
+    element: the chunked loops would read samples they had overwritten."""
+    _check_1d("out", out, inputs[0].size)
+    for x in inputs:
+        same = out.ctypes.data == x.ctypes.data and out.strides == x.strides
+        if not same and np.shares_memory(out, x):
+            raise ValueError("out must be an input itself or share no memory with it")
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureStreams:
-    """Output-beam quadrature time series, vacuum units."""
+    """Output-beam quadrature time series, vacuum units: two 1-D arrays of
+    equal length."""
 
     amplitude: np.ndarray
     phase: np.ndarray
 
-    def at_angle(self, phi: float) -> np.ndarray:
-        """Projection cos(phi)*amplitude + sin(phi)*phase."""
+    def __post_init__(self) -> None:
+        _check_1d("amplitude", self.amplitude)
+        _check_1d("phase", self.phase, self.amplitude.size)
+
+    def at_angle(self, phi: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Projection cos(phi)*amplitude + sin(phi)*phase.
+
+        Written into `out` (a 1-D array of the streams' length, which may be
+        amplitude or phase itself) if given, else into a new array, and
+        returned.  The projection runs a chunk of _CHUNK samples at a time,
+        so it holds one chunk's temporary besides the result, and gives the
+        bits of the whole-array expression.
+        """
         phi = _real("phi", phi)
-        return math.cos(phi) * self.amplitude + math.sin(phi) * self.phase
+        c, s = math.cos(phi), math.sin(phi)
+        n = self.amplitude.size
+        if out is None:
+            out = np.empty(n, dtype=np.result_type(c, self.amplitude, self.phase))
+        else:
+            _check_out(out, self.amplitude, self.phase)
+        for start in range(0, n, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            term = s * self.phase[part]  # taken before out may overwrite it
+            np.multiply(c, self.amplitude[part], out=out[part])
+            out[part] += term
+        return out
 
 
 def apply_kernel(
@@ -153,26 +197,44 @@ def apply_kernel(
     photocurrent: np.ndarray,
     params: NetworkParams,
     sample_rate: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Feed-forward electronics acting on the photocurrent.
+    """Feed-forward electronics acting on the 1-D photocurrent.
 
     The flat kernel is a pure scale by the network gain.  The bandpass kernel
     is a causal IIR resonator (scipy's peak filter), so its output at sample
-    n depends only on samples <= n.  scipy is needed only for the bandpass
-    kernel: scipy.signal is imported on its first use, so importing phaseff
-    and flat-kernel runs load numpy alone.
+    n depends only on samples <= n.  It runs a chunk of _CHUNK samples at a
+    time and carries the resonator state from chunk to chunk, so it holds
+    one chunk's output besides the result and gives the bits of one
+    whole-array filter call.  scipy is needed only for the bandpass kernel:
+    scipy.signal is imported on its first use, so importing phaseff and
+    flat-kernel runs load numpy alone.
+
+    The result is written into `out` (a 1-D array of the photocurrent's
+    length, which may be the photocurrent itself) if given, else into a new
+    array, and returned.
     """
     photocurrent = np.asarray(photocurrent, dtype=float)
+    _check_1d("photocurrent", photocurrent)
+    if out is not None:
+        _check_out(out, photocurrent)
     if isinstance(kernel, FlatKernel):
         if params.gain.imag != 0.0:
             raise ValueError("flat kernel needs a real gain")
-        return params.gain.real * photocurrent
+        return np.multiply(params.gain.real, photocurrent, out=out)
     if isinstance(kernel, BandpassKernel):
         from scipy import signal
 
         q_factor = kernel.center_hz / kernel.bandwidth_hz
         b, a = signal.iirpeak(kernel.center_hz, q_factor, fs=sample_rate)
-        return kernel.gain * signal.lfilter(b, a, photocurrent)
+        if out is None:
+            out = np.empty_like(photocurrent)
+        state = np.zeros(max(len(a), len(b)) - 1)
+        for start in range(0, photocurrent.size, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            block, state = signal.lfilter(b, a, photocurrent[part], zi=state)
+            np.multiply(kernel.gain, block, out=out[part])
+        return out
     raise TypeError(f"unknown kernel type {type(kernel).__name__}")
 
 
@@ -256,14 +318,14 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     """Generate one realization of the output quadrature streams.
 
     Fills the whole run from _chunk_streams, runs the photocurrent through
-    the kernel, and applies the correction to the transmitted beam's phase
-    quadrature.
+    the kernel in place, and applies the correction to the transmitted
+    beam's phase quadrature.
 
     Chunk k of _CHUNK = 2^18 samples comes from the Philox substream keyed on
     (seed, trial) at counter k, and the chunks are filled on every usable
     CPU, so the output is the same whatever the thread count.  The kernel
-    runs once over the whole photocurrent, so a causal filter carries no
-    state across chunks.
+    then runs over the whole photocurrent in order, carrying a causal
+    filter's state from chunk to chunk.
     """
     n = config.n_samples
     amplitude = np.empty(n)
@@ -275,7 +337,9 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
         _chunk_streams(config, trial, chunk, (amplitude[part], photocurrent[part], phase[part]))
 
     _parallel(fill, -(-n // _CHUNK))
-    phase += apply_kernel(config.kernel, photocurrent, config.params, config.sample_rate)
+    phase += apply_kernel(
+        config.kernel, photocurrent, config.params, config.sample_rate, out=photocurrent
+    )
     return QuadratureStreams(amplitude=amplitude, phase=phase)
 
 
@@ -408,10 +472,12 @@ def oracle_compare(
 
         def fill(chunk: int) -> None:
             amplitude, photocurrent, phase = _chunk_streams(config, trial, chunk)
-            phase += apply_kernel(config.kernel, photocurrent, config.params, config.sample_rate)
-            series[chunk * _CHUNK : (chunk + 1) * _CHUNK] = QuadratureStreams(
-                amplitude, phase
-            ).at_angle(phi)
+            phase += apply_kernel(
+                config.kernel, photocurrent, config.params, config.sample_rate, out=photocurrent
+            )
+            QuadratureStreams(amplitude, phase).at_angle(
+                phi, out=series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
+            )
 
         _parallel(fill, -(-n // _CHUNK))
         estimate = estimate_psd(series, config.sample_rate, segment_count=segment_count)

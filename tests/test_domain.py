@@ -12,11 +12,14 @@ import pytest
 
 from phaseff import (
     BandpassKernel,
+    FlatKernel,
     NetworkParams,
+    QuadratureStreams,
     SimConfig,
     SnrSettings,
     SweepSettings,
     SweepTrace,
+    apply_kernel,
     db_from_linear,
     detected_variance,
     estimate_psd,
@@ -204,6 +207,53 @@ def test_run_sweep_checks_formula_and_detected():
         run_sweep(P, 9, "paper", "no")
     with pytest.raises(ValueError, match="^detected "):
         SweepTrace(phase=[0.0], variance_linear=[1.0], variance_db=[0.0], detected="no")
+
+
+def flat(photocurrent, out=None):
+    return apply_kernel(FlatKernel(), photocurrent, P, 65536.0, out=out)
+
+
+def bandpass(photocurrent, out=None):
+    return apply_kernel(BandpassKernel(**KERNEL), photocurrent, P, 65536.0, out=out)
+
+
+def projection(out):
+    return QuadratureStreams(np.ones(10), np.zeros(10)).at_angle(0.3, out=out)
+
+
+# the stream above and the one sample past it, so an out shifted by one
+# sample overlaps it
+SHIFTED = np.arange(11.0)
+
+# (case id, call with the array under test, the name its error must give).
+# The kernels and the projection work a chunk at a time over 1-D arrays, so
+# anything else would be sliced wrongly.
+STREAM_FIELDS = [
+    ("streams-length", lambda: QuadratureStreams(np.ones(10), np.ones(1)), "phase"),
+    ("streams-list", lambda: QuadratureStreams([1.0, 2.0], np.ones(2)), "amplitude"),
+    ("streams-2d", lambda: QuadratureStreams(np.ones((2, 5)), np.ones((2, 5))), "amplitude"),
+    ("streams-scalar", lambda: QuadratureStreams(np.ones(1), np.float64(1.0)), "phase"),
+    ("flat-2d", lambda: flat(np.ones((2, 5))), "photocurrent"),
+    ("flat-scalar", lambda: flat(1.0), "photocurrent"),
+    ("bandpass-2d", lambda: bandpass(np.ones((2, 5))), "photocurrent"),
+    ("flat-out-length", lambda: flat(np.ones(10), out=np.empty(9)), "out"),
+    ("bandpass-out-2d", lambda: bandpass(np.ones(10), out=np.empty((2, 5))), "out"),
+    ("bandpass-out-list", lambda: bandpass(np.ones(10), out=[0.0] * 10), "out"),
+    ("bandpass-out-shifted", lambda: bandpass(SHIFTED[:10], out=SHIFTED[1:]), "out"),
+    ("projection-out-length", lambda: projection(np.empty(11)), "out"),
+    ("projection-out-2d", lambda: projection(np.empty((10, 1))), "out"),
+    ("projection-out-shifted", lambda: QuadratureStreams(SHIFTED[:10], np.zeros(10)).at_angle(
+        0.3, out=SHIFTED[1:]
+    ), "out"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, name", [case[1:] for case in STREAM_FIELDS], ids=[case[0] for case in STREAM_FIELDS]
+)
+def test_stream_field_rejects_other_shapes(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        call()
 
 
 class TestOracleAngles:

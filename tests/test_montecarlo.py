@@ -16,6 +16,7 @@ from phaseff import (
     FlatKernel,
     NetworkParams,
     NoiseMode,
+    QuadratureStreams,
     SimConfig,
     apply_kernel,
     band_average,
@@ -107,6 +108,25 @@ class TestStreams:
         cfg = config_for(make_params(gain=1.0), seed=5)
         s = simulate_streams(cfg)
         assert np.allclose(s.at_angle(math.pi / 2.0), s.phase, rtol=1e-12, atol=1e-12)
+
+    def test_at_angle_is_the_whole_array_projection(self):
+        # more than one chunk, with a partial last one
+        rng = np.random.Generator(np.random.Philox(key=np.array([19, 0], dtype=np.uint64)))
+        amplitude, phase = rng.standard_normal((2, 2 * _CHUNK + 77))
+        phi = 0.7
+        want = math.cos(phi) * amplitude + math.sin(phi) * phase
+        assert np.array_equal(QuadratureStreams(amplitude, phase).at_angle(phi), want)
+        out = np.empty_like(phase)
+        assert QuadratureStreams(amplitude, phase).at_angle(phi, out=out) is out
+        assert np.array_equal(out, want)
+
+    @pytest.mark.parametrize("field", ["amplitude", "phase"])
+    def test_at_angle_into_a_stream(self, field):
+        # each chunk of a stream is read before out overwrites it
+        rng = np.random.Generator(np.random.Philox(key=np.array([19, 2], dtype=np.uint64)))
+        streams = QuadratureStreams(*rng.standard_normal((2, _CHUNK + 77)))
+        want = streams.at_angle(0.7)
+        assert np.array_equal(streams.at_angle(0.7, out=getattr(streams, field)), want)
 
 
 class TestEstimatePsd:
@@ -209,6 +229,36 @@ class TestKernels:
         rms_in = float(np.sqrt(np.mean(x[8192:] ** 2)))
         rms_out = float(np.sqrt(np.mean(y[8192:] ** 2)))
         assert math.isclose(rms_out, rms_in, rel_tol=1e-2)
+
+    def test_bandpass_is_one_lfilter_call(self):
+        # the resonator state carries across chunks: a partial last chunk
+        # and every chunk boundary give the bits of one whole-array lfilter
+        from scipy import signal
+
+        kern = BandpassKernel(center_hz=1000.0, bandwidth_hz=200.0, gain=2.5)
+        rng = np.random.Generator(np.random.Philox(key=np.array([17, 0], dtype=np.uint64)))
+        x = rng.standard_normal(5 * _CHUNK // 2 + 123)
+        b, a = signal.iirpeak(1000.0, 1000.0 / 200.0, fs=CHUNK_FS)
+        want = 2.5 * signal.lfilter(b, a, x)
+        assert np.array_equal(apply_kernel(kern, x, make_params(), CHUNK_FS), want)
+        assert apply_kernel(kern, x, make_params(), CHUNK_FS, out=x) is x
+        assert np.array_equal(x, want)
+
+    def test_flat_kernel_in_place(self):
+        x = np.linspace(-1.0, 1.0, 50)
+        want = 3.2 * x
+        assert apply_kernel(FlatKernel(), x, make_params(gain=3.2), FS, out=x) is x
+        assert np.array_equal(x, want)
+
+    @pytest.mark.parametrize(
+        "kern", [FlatKernel(), BandpassKernel(center_hz=1000.0, bandwidth_hz=200.0, gain=2.5)]
+    )
+    def test_input_unchanged_without_out(self, kern):
+        rng = np.random.Generator(np.random.Philox(key=np.array([17, 1], dtype=np.uint64)))
+        x = rng.standard_normal(_CHUNK + 5)
+        before = x.copy()
+        apply_kernel(kern, x, make_params(gain=1.5), CHUNK_FS)
+        assert np.array_equal(x, before)
 
     def test_bandpass_validation(self):
         with pytest.raises(ValueError):
@@ -396,6 +446,41 @@ class TestChunks:
         finally:
             tracemalloc.stop()
         assert peak / n <= 20.0
+
+    def test_bandpass_streams_peak_memory_per_sample(self, monkeypatch):
+        # one CPU holds the three streams (24 B per sample) and one chunk's
+        # draws; a whole-stream filter output took 8 more
+        from scipy import signal  # imported untraced
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        n = 2**22
+        kern = BandpassKernel(center_hz=5000.0, bandwidth_hz=500.0, gain=2.0)
+        cfg = SimConfig(
+            params=make_params(eta_h=0.9, eta_d=0.8), sample_rate=FS, duration=n / FS,
+            kernel=kern, seed=3,
+        )
+        signal.iirpeak(kern.center_hz, 10.0, fs=FS)
+        tracemalloc.start()
+        try:
+            simulate_streams(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 30.0
+
+    def test_at_angle_peak_memory_per_sample(self):
+        # the projection (8 B per sample) and one chunk's temporary; two
+        # whole-array products took 16
+        n = 2**22
+        rng = np.random.Generator(np.random.Philox(key=np.array([19, 1], dtype=np.uint64)))
+        streams = QuadratureStreams(*rng.standard_normal((2, n)))
+        tracemalloc.start()
+        try:
+            streams.at_angle(0.4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 10.0
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_failing_chunk_raises(self, monkeypatch, cpus):
