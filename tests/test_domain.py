@@ -217,12 +217,11 @@ def bandpass(photocurrent, out=None):
     return apply_kernel(BandpassKernel(**KERNEL), photocurrent, P, 65536.0, out=out)
 
 
-def projection(out):
-    return QuadratureStreams(np.ones(10), np.zeros(10)).at_angle(0.3, out=out)
+def projection(amplitude, out):
+    return QuadratureStreams(amplitude, np.zeros(10)).at_angle(0.3, out=out)
 
 
-# the stream above and the one sample past it, so an out shifted by one
-# sample overlaps it
+# SHIFTED[:10] and SHIFTED[1:] overlap in nine samples
 SHIFTED = np.arange(11.0)
 
 # (case id, call with the array under test, the name its error must give).
@@ -240,11 +239,9 @@ STREAM_FIELDS = [
     ("bandpass-out-2d", lambda: bandpass(np.ones(10), out=np.empty((2, 5))), "out"),
     ("bandpass-out-list", lambda: bandpass(np.ones(10), out=[0.0] * 10), "out"),
     ("bandpass-out-shifted", lambda: bandpass(SHIFTED[:10], out=SHIFTED[1:]), "out"),
-    ("projection-out-length", lambda: projection(np.empty(11)), "out"),
-    ("projection-out-2d", lambda: projection(np.empty((10, 1))), "out"),
-    ("projection-out-shifted", lambda: QuadratureStreams(SHIFTED[:10], np.zeros(10)).at_angle(
-        0.3, out=SHIFTED[1:]
-    ), "out"),
+    ("projection-out-length", lambda: projection(np.ones(10), np.empty(11)), "out"),
+    ("projection-out-2d", lambda: projection(np.ones(10), np.empty((10, 1))), "out"),
+    ("projection-out-shifted", lambda: projection(SHIFTED[:10], SHIFTED[1:]), "out"),
 ]
 
 
