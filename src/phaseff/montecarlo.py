@@ -24,8 +24,8 @@ MIN_SAMPLES = 2**14
 # A row passes when it lies within this many standard errors of the model.
 SIGMA_BOUND = 3.0
 
-# Row order of the white-noise draw matrix; fixed so (seed, trial, chunk) pins
-# the entire realization.
+# Order in which a chunk draws the white-noise modes from its substream; fixed
+# so (seed, trial, chunk) pins the entire realization.
 _MODE_ORDER = tuple(NoiseMode)
 
 # Samples per noise draw.  Chunk k of a run has its own Philox substream, so
@@ -247,53 +247,69 @@ def _chunk_streams(
     """The signal flow over samples [chunk * _CHUNK, (chunk + 1) * _CHUNK) of a
     run: the output amplitude, the homodyne photocurrent and the output phase
     before the feed-forward correction, written into `out` (three arrays of
-    the chunk's length) if given and returned.
+    the chunk's length) if given, else into new arrays, and returned.
 
-    Draws the seven noise modes as unit-variance white series from the Philox
-    substream at counter `chunk`, scales the input phase to v_phase_in (adding
-    the coherent tone, on the run's time axis, if configured), assembles the
-    photocurrent with its efficiency-weighted vacuum contributions, and
-    splits the input between the tap and the transmitted beam.  Without
-    `out`, each result is written over a row of the draws that no later step
-    reads, so a chunk holds no more than its draws and one expression's
-    temporaries.  On the worker threads the allocator keeps a chunk's peak
-    for reuse, so this bounds what the threads add to the process's peak
-    memory.
+    With x the input phase scaled to v_phase_in (plus the coherent tone, on
+    the run's time axis, if configured):
+
+        photocurrent = sqrt(eta_h1 eta_d1 (1 - epsilon)) x
+                       + sqrt(eta_d1 eta_h1 epsilon) tap_vacuum_phase
+                       + sqrt(eta_d1 (1 - eta_h1)) homodyne_mismatch_phase
+                       + sqrt((1 - eta_d1) / 2) (detector_vacuum_1 + detector_vacuum_2)
+        amplitude = sqrt(epsilon) input_amplitude
+                    - sqrt(1 - epsilon) tap_vacuum_amplitude
+        phase = sqrt(epsilon) x - sqrt(1 - epsilon) tap_vacuum_phase
+
+    The seven modes are unit-variance white series drawn one at a time, in
+    _MODE_ORDER, from the Philox substream at counter `chunk`: the stream
+    positions of one (7, length) draw.  Each mode is folded into the sums as
+    it arrives, term by term from the left, so the bits are those of the
+    three expressions over a whole draw block.  A chunk holds two scratch
+    rows besides its outputs.  On the worker threads the allocator keeps a
+    chunk's peak for reuse, so this bounds what the threads add to the
+    process's peak memory.
     """
     p = config.params
     eps = p.epsilon
     eh, ed = p.eta_h1, p.eta_d1
+    transmitted, tapped = math.sqrt(eps), math.sqrt(1.0 - eps)
     start = chunk * _CHUNK
     stop = min(start + _CHUNK, config.n_samples)
-    draws = _substream(config.seed, trial, chunk).standard_normal(
-        (len(_MODE_ORDER), stop - start)
-    )
-    rows = dict(zip(_MODE_ORDER, draws))
+    amplitude, photocurrent, phase = out or [np.empty(stop - start) for _ in range(3)]
+    row, other = np.empty(stop - start), np.empty(stop - start)
+    rng = _substream(config.seed, trial, chunk)
+    modes = iter(_MODE_ORDER)
 
-    x_phase_in = rows[NoiseMode.INPUT_PHASE]
-    x_phase_in *= math.sqrt(p.v_phase_in)
+    def draw(mode: NoiseMode, into: np.ndarray) -> np.ndarray:
+        assert next(modes) is mode, "each draw takes the next mode's stream positions"
+        return rng.standard_normal(out=into)
+
+    np.multiply(transmitted, draw(NoiseMode.INPUT_AMPLITUDE, row), out=amplitude)
+
+    x = draw(NoiseMode.INPUT_PHASE, row)
+    x *= math.sqrt(p.v_phase_in)
     if config.signal_amplitude > 0.0:
-        t = np.arange(start, stop) / config.sample_rate
-        x_phase_in += config.signal_amplitude * np.sin(
-            2.0 * math.pi * config.signal_frequency * t
-        )
+        tone = np.divide(np.arange(start, stop), config.sample_rate, out=other)
+        tone *= 2.0 * math.pi * config.signal_frequency
+        np.sin(tone, out=tone)
+        tone *= config.signal_amplitude
+        x += tone
+    np.multiply(math.sqrt(eh * ed * (1.0 - eps)), x, out=photocurrent)
+    np.multiply(transmitted, x, out=phase)
 
-    amplitude, photocurrent, phase = out or (
-        rows[NoiseMode.INPUT_AMPLITUDE], rows[NoiseMode.DETECTOR_VACUUM_1], x_phase_in
+    amplitude -= np.multiply(tapped, draw(NoiseMode.TAP_VACUUM_AMPLITUDE, row), out=row)
+
+    tap_phase = draw(NoiseMode.TAP_VACUUM_PHASE, row)
+    photocurrent += np.multiply(math.sqrt(ed * eh * eps), tap_phase, out=other)
+    phase -= np.multiply(tapped, tap_phase, out=row)
+
+    photocurrent += np.multiply(
+        math.sqrt(ed * (1.0 - eh)), draw(NoiseMode.HOMODYNE_MISMATCH_PHASE, row), out=row
     )
-    photocurrent[...] = (
-        math.sqrt(eh * ed * (1.0 - eps)) * x_phase_in
-        + math.sqrt(ed * eh * eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
-        + math.sqrt(ed * (1.0 - eh)) * rows[NoiseMode.HOMODYNE_MISMATCH_PHASE]
-        + math.sqrt((1.0 - ed) / 2.0)
-        * (rows[NoiseMode.DETECTOR_VACUUM_1] + rows[NoiseMode.DETECTOR_VACUUM_2])
-    )
-    amplitude[...] = math.sqrt(eps) * rows[NoiseMode.INPUT_AMPLITUDE] - math.sqrt(
-        1.0 - eps
-    ) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
-    phase[...] = (
-        math.sqrt(eps) * x_phase_in - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
-    )
+
+    detectors = draw(NoiseMode.DETECTOR_VACUUM_1, row)
+    detectors += draw(NoiseMode.DETECTOR_VACUUM_2, other)
+    photocurrent += np.multiply(math.sqrt((1.0 - ed) / 2.0), detectors, out=row)
     return amplitude, photocurrent, phase
 
 
@@ -317,9 +333,11 @@ def _parallel(fn, count: int) -> None:
 def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     """Generate one realization of the output quadrature streams.
 
-    Fills the whole run from _chunk_streams, runs the photocurrent through
-    the kernel in place, and applies the correction to the transmitted
-    beam's phase quadrature.
+    Fills the whole run from _chunk_streams, each chunk written straight
+    into its slices of the three streams, runs the photocurrent through the
+    kernel in place, and applies the correction to the transmitted beam's
+    phase quadrature.  Besides the streams, each filling thread holds its
+    chunk's two scratch rows.
 
     Chunk k of _CHUNK = 2^18 samples comes from the Philox substream keyed on
     (seed, trial) at counter k, and the chunks are filled on every usable
@@ -455,7 +473,9 @@ def oracle_compare(
     A configured tone is masked out of the band average.  Every angle is
     checked before any noise is drawn.  Each realization is projected at its
     angle chunk by chunk on every usable CPU, so the whole streams are never
-    held; the rows equal those of
+    held: a chunk's amplitude is written into the projected series and
+    projected over in place, so each thread holds the chunk's photocurrent
+    and phase and _chunk_streams' two scratch rows.  The rows equal those of
     estimate_psd(simulate_streams(config, trial).at_angle(phi)) bit for bit.
     """
     if not isinstance(config.kernel, FlatKernel):
@@ -471,13 +491,14 @@ def oracle_compare(
         series = np.empty(n)
 
         def fill(chunk: int) -> None:
-            amplitude, photocurrent, phase = _chunk_streams(config, trial, chunk)
+            # the series slice takes the amplitude, then its projection
+            amplitude = series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
+            buffers = (amplitude, np.empty(amplitude.size), np.empty(amplitude.size))
+            _, photocurrent, phase = _chunk_streams(config, trial, chunk, buffers)
             phase += apply_kernel(
                 config.kernel, photocurrent, config.params, config.sample_rate, out=photocurrent
             )
-            QuadratureStreams(amplitude, phase).at_angle(
-                phi, out=series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
-            )
+            QuadratureStreams(amplitude, phase).at_angle(phi, out=amplitude)
 
         _parallel(fill, -(-n // _CHUNK))
         estimate = estimate_psd(series, config.sample_rate, segment_count=segment_count)

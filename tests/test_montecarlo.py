@@ -430,9 +430,77 @@ class TestChunks:
             sys.setswitchinterval(interval)
         assert [(row.mc_variance, row.standard_error) for row in report.rows] == want
 
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_chunk_streams_fold_the_whole_block_expressions(self, with_out):
+        # the modes are drawn one row at a time and folded in as they arrive;
+        # the bits are those of one (7, length) draw and the three
+        # expressions over it, here on a partial last chunk with a tone
+        p = NetworkParams(epsilon=0.3, eta_h1=0.9, eta_d1=0.85, gain=1.5, v_phase_in=2.0)
+        cfg = replace(chunked_config("tone"), params=p)
+        trial, chunk = 5, 2
+        start, stop = chunk * _CHUNK, cfg.n_samples
+        assert 0 < stop - start < _CHUNK
+        eps, eh, ed = p.epsilon, p.eta_h1, p.eta_d1
+        draws = _substream(cfg.seed, trial, chunk).standard_normal((7, stop - start))
+        rows = dict(zip(montecarlo._MODE_ORDER, draws))
+        x = rows[NoiseMode.INPUT_PHASE] * math.sqrt(p.v_phase_in)
+        t = np.arange(start, stop) / cfg.sample_rate
+        x += cfg.signal_amplitude * np.sin(2.0 * math.pi * cfg.signal_frequency * t)
+        photocurrent = (
+            math.sqrt(eh * ed * (1.0 - eps)) * x
+            + math.sqrt(ed * eh * eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
+            + math.sqrt(ed * (1.0 - eh)) * rows[NoiseMode.HOMODYNE_MISMATCH_PHASE]
+            + math.sqrt((1.0 - ed) / 2.0)
+            * (rows[NoiseMode.DETECTOR_VACUUM_1] + rows[NoiseMode.DETECTOR_VACUUM_2])
+        )
+        amplitude = math.sqrt(eps) * rows[NoiseMode.INPUT_AMPLITUDE] - math.sqrt(
+            1.0 - eps
+        ) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
+        phase = math.sqrt(eps) * x - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
+        out = tuple(np.empty(stop - start) for _ in range(3)) if with_out else None
+        got = montecarlo._chunk_streams(cfg, trial, chunk, out)
+        names = ("amplitude", "photocurrent", "phase")
+        for name, g, want in zip(names, got, (amplitude, photocurrent, phase)):
+            assert np.array_equal(g, want), name
+        if with_out:
+            assert all(g is o for g, o in zip(got, out))
+
+    @pytest.mark.parametrize("with_out, bound", [(False, 48.0), (True, 20.0)])
+    def test_chunk_streams_peak_memory_per_sample(self, monkeypatch, with_out, bound):
+        # two scratch rows (16 B per sample) besides the outputs (24 more when
+        # they are allocated); the whole (7, length) draw block took 72
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        cfg = chunked_config("flat")
+        out = tuple(np.empty(_CHUNK) for _ in range(3)) if with_out else None
+        tracemalloc.start()
+        try:
+            montecarlo._chunk_streams(cfg, 0, 1, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / _CHUNK <= bound
+
+    def test_one_chunk_oracle_peak_memory_per_sample(self, monkeypatch):
+        # a one-chunk run on one CPU: the projected series (8 B per sample),
+        # the chunk's photocurrent and phase (16), two scratch rows (16) and
+        # the periodogram rows; the whole draw block and its temporaries took 80
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        cfg = SimConfig(
+            params=make_params(eta_h=0.9, eta_d=0.8, gain=2.0), sample_rate=FS,
+            duration=_CHUNK / FS, seed=3,
+        )
+        tracemalloc.start()
+        try:
+            oracle_compare(cfg, [0.0, 0.7, math.pi / 2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / _CHUNK <= 44.0
+
     def test_oracle_peak_memory_per_sample(self, monkeypatch):
         # one CPU holds the projected series (8 B per sample), the periodogram
-        # rows (about 4) and one chunk's draws; three whole streams took 32
+        # rows (about 4) and one chunk's four rows (its photocurrent, its
+        # phase and two scratch rows); three whole streams took 32
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
         n = 2**22
         cfg = SimConfig(params=make_params(gain=2.0), sample_rate=FS, duration=n / FS, seed=3)
@@ -446,7 +514,8 @@ class TestChunks:
 
     def test_bandpass_streams_peak_memory_per_sample(self, monkeypatch):
         # one CPU holds the three streams (24 B per sample) and one chunk's
-        # draws; a whole-stream filter output took 8 more
+        # two scratch rows; one chunk's whole draw block took 3.5 more, and a
+        # whole-stream filter output 8 more before that
         import scipy.signal  # imported before tracing starts
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
@@ -462,7 +531,7 @@ class TestChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n <= 30.0
+        assert peak / n <= 26.5
 
     def test_at_angle_peak_memory_per_sample(self):
         # the projection (8 B per sample) and one chunk's temporary; two
