@@ -27,6 +27,7 @@ from .montecarlo import BandpassKernel, FlatKernel, SimConfig, oracle_compare
 from .network import (
     NetworkParams,
     SnrReport,
+    _reals,
     detected_variance,
     ideal_gain,
     infer_snr,
@@ -82,25 +83,20 @@ class SweepTrace:
 
     def __post_init__(self) -> None:
         for name in ("phase", "variance_linear", "variance_db"):
-            arr = np.array(getattr(self, name), dtype=float)
+            # a copy: _reals may return the caller's own array, which stays writable
+            arr = _reals(name, getattr(self, name)).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         shapes = {arr.shape for arr in (self.phase, self.variance_linear, self.variance_db)}
         if len(shapes) != 1 or self.phase.ndim != 1:
             raise ValueError("trace columns must be 1-D arrays of equal length")
         if self.phase.size:
-            if not np.all(np.isfinite(self.phase)):
-                raise ValueError("phase values must be finite")
             if np.any(np.diff(self.phase) < 0.0):
                 raise ValueError("phase values must be nondecreasing")
             if self.phase[0] < -1e-12 or self.phase[-1] > _TWO_PI + 1e-12:
                 raise ValueError("phase values must lie in [0, 2*pi]")
-            if not np.all(np.isfinite(self.variance_linear)) or np.any(
-                self.variance_linear <= 0.0
-            ):
-                raise ValueError("variance_linear values must be finite and > 0")
-            if not np.all(np.isfinite(self.variance_db)):
-                raise ValueError("variance_db values must be finite")
+            if np.any(self.variance_linear <= 0.0):
+                raise ValueError("variance_linear values must be > 0")
         _check_bool("detected", self.detected)
 
     def __len__(self) -> int:
@@ -286,7 +282,8 @@ def report_snr(settings: SnrSettings, params: NetworkParams) -> SnrReport:
 
 # ---------------------------------------------------------------------------
 # Serialization.  Floats go through one canonical 12-significant-digit
-# formatter so CSV and JSON agree and runs are reproducible byte for byte.
+# formatter and report values through one rule, _value, so CSV and JSON agree
+# and runs are reproducible byte for byte.
 # ---------------------------------------------------------------------------
 
 
@@ -294,64 +291,44 @@ def _fmt(value: float) -> str:
     return f"{float(value):.12g}"
 
 
-def _round12(value: float) -> float:
-    return float(_fmt(value))
-
-
-def _trace_to_csv(trace: SweepTrace) -> str:
-    lines = [",".join(TRACE_HEADER)]
-    for p, v, d in zip(trace.phase, trace.variance_linear, trace.variance_db):
-        lines.append(f"{_fmt(p)},{_fmt(v)},{_fmt(d)}")
-    return "\n".join(lines) + "\n"
-
-
-def _to_json(value):
-    if isinstance(value, np.ndarray):
-        return [_round12(x) for x in value]
-    if isinstance(value, bool):
+def _value(value):
+    """A report value as both formats write it: a float cut to 12 significant
+    digits, a bool or a str as it is, an int as an int; anything else (None,
+    a complex, an array, a numpy bool) is a TypeError."""
+    if isinstance(value, (float, np.floating)):
+        return float(_fmt(value))
+    if isinstance(value, (bool, str)):
         return value
     if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (float, np.floating)):
-        return _round12(value)
-    if isinstance(value, str):
-        return value
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _scalar_to_csv(value) -> str:
+def _cell(value) -> str:
+    value = _value(value)
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    return str(value)
-
-
-def _report_to_json(report: Mapping) -> str:
-    payload = {str(k): _to_json(v) for k, v in report.items()}
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _report_to_csv(report: Mapping) -> str:
-    lines = ["key,value"]
-    for key, value in report.items():
-        lines.append(f"{key},{_scalar_to_csv(value)}")
-    return "\n".join(lines) + "\n"
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 def _render(obj, fmt: str) -> str:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'json'")
     if isinstance(obj, SweepTrace):
-        if fmt == "csv":
-            return _trace_to_csv(obj)
         columns = (obj.phase, obj.variance_linear, obj.variance_db)
-        obj = {"detected": obj.detected, **dict(zip(TRACE_HEADER, columns))}
-    if isinstance(obj, Mapping):
-        return _report_to_csv(obj) if fmt == "csv" else _report_to_json(obj)
-    raise TypeError(f"cannot render object of type {type(obj).__name__}")
+        if fmt == "csv":
+            rows = (f"{_fmt(p)},{_fmt(v)},{_fmt(d)}" for p, v, d in zip(*columns))
+            return "\n".join((",".join(TRACE_HEADER), *rows)) + "\n"
+        payload = {"detected": obj.detected}
+        for name, column in zip(TRACE_HEADER, columns):
+            payload[name] = [_value(x) for x in column]
+    elif isinstance(obj, Mapping):
+        if fmt == "csv":
+            return "key,value\n" + "".join(f"{k},{_cell(v)}\n" for k, v in obj.items())
+        payload = {str(k): _value(v) for k, v in obj.items()}
+    else:
+        raise TypeError(f"cannot render object of type {type(obj).__name__}")
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _atomic_write(path: str, text: str) -> None:

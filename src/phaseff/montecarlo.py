@@ -417,17 +417,20 @@ def band_average(
 ) -> tuple[float, float]:
     """Mean PSD over interior bins, with a combined standard error.
 
-    DC and Nyquist are always dropped; bins within exclude_width_hz of
-    exclude_hz (a coherent tone) can be masked out too.  Bins are treated as
+    DC and Nyquist are always dropped; bins within exclude_width_hz (>= 0)
+    of exclude_hz (a coherent tone) can be masked out too.  Bins are treated as
     independent, which is exact for white input.
     """
+    width = _real("exclude_width_hz", exclude_width_hz)
+    if width < 0.0:
+        raise ValueError(f"exclude_width_hz must be >= 0, got {width!r}")
     n_bins = estimate.variance.size
     if n_bins < 3:
         raise ValueError("estimate has no interior bins")
     mask = np.ones(n_bins, dtype=bool)
     mask[0] = mask[-1] = False
     if exclude_hz is not None:
-        mask &= np.abs(estimate.frequencies - exclude_hz) > exclude_width_hz
+        mask &= np.abs(estimate.frequencies - _real("exclude_hz", exclude_hz)) > width
     kept = int(mask.sum())
     if kept == 0:
         raise ValueError("exclusion mask removed every bin")

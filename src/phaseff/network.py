@@ -123,13 +123,16 @@ def output_expansion(params: NetworkParams, phi: float) -> QuadratureExpansion:
 def _reals(name: str, value) -> np.ndarray:
     """value as a float array, each element held to algebra._real's rule.
 
-    An int or float numpy array is only checked for NaN and +-inf; a scalar,
-    a list or any other array goes through _real element by element, so a
+    An int or float numpy array is only checked for NaN and +-inf, and its
+    error names the first such element, not the whole array; a scalar, a
+    list or any other array goes through _real element by element, so a
     bool or a string is refused even inside a list of floats."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "iuf":
         arr = value.astype(float, copy=False)
         if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            where = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+            at = f" at index {where[0] if len(where) == 1 else where}" if where else ""
+            raise ValueError(f"{name} must be finite, got {float(arr[where])!r}{at}")
         return arr
     items = np.asarray(value, dtype=object)
     if items.ndim == 0:

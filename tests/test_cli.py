@@ -256,6 +256,13 @@ class TestSweepTrace:
         with pytest.raises(ValueError):
             trace.phase[0] = 1.0
 
+    def test_caller_array_copied_not_frozen(self):
+        phase = np.linspace(0.0, 1.0, 4)
+        trace = SweepTrace(phase=phase, variance_linear=np.ones(4), variance_db=np.zeros(4))
+        assert phase.flags.writeable and not trace.phase.flags.writeable
+        phase[0] = 0.5
+        assert trace.phase[0] == 0.0
+
 
 class TestRunSweep:
     def test_grid_and_db_consistency(self):
@@ -491,6 +498,18 @@ class TestEmitAndLoad:
         assert lines[2] == "all_pass,true"
         assert lines[3] == "n,3"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "value",
+        [None, 1 + 2j, np.arange(3.0), np.bool_(True)],
+        ids=["none", "complex", "array", "numpy-bool"],
+    )
+    def test_report_formats_refuse_the_same_values(self, tmp_path, value, fmt):
+        out = tmp_path / "report"
+        with pytest.raises(TypeError, match="cannot serialize"):
+            emit({"ok": 1.0, "bad": value}, str(out), fmt)
+        assert not out.exists()
+
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
             emit({"a": 1.0}, str(tmp_path / "x.yaml"), "yaml")
@@ -605,6 +624,17 @@ class TestCliCommands:
         assert abs(data["k_fit"] - 3.2) < 1e-4
         assert data["detected"] is True
         assert data["n_points"] == 361
+
+    def test_fit_on_non_finite_cell_fails_in_one_short_line(self, tmp_path, capsys, config_path):
+        trace_path = tmp_path / "trace.csv"
+        emit(run_sweep(BENCH, n_points=361), str(trace_path), "csv")
+        lines = trace_path.read_text().splitlines()
+        lines[6] = "nan," + lines[6].split(",", 1)[1]  # row 6 is data row 5
+        trace_path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(trace_path), "--config", config_path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: phase must be finite, got nan at index 5\n"
 
     def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
         rc = main(["optimize", "--config", str(tmp_path / "nope.json")])

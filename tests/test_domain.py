@@ -20,6 +20,7 @@ from phaseff import (
     SweepSettings,
     SweepTrace,
     apply_kernel,
+    band_average,
     db_from_linear,
     detected_variance,
     estimate_psd,
@@ -59,6 +60,15 @@ def levels(field):
     return lambda x: SnrSettings(**{**LEVELS, field: x})
 
 
+def trace_column(field):
+    valid = {"phase": [0.0], "variance_linear": [1.0], "variance_db": [0.0]}
+    return lambda x: SweepTrace(**{**valid, field: x})
+
+
+# white noise in 64 segments of 1,024 samples: bins 1 Hz apart
+PSD = estimate_psd(np.random.default_rng(0).standard_normal(2**16), 1024.0)
+
+
 # (entry point, call with the value under test, the name its error must give)
 NUMBER_FIELDS = [
     ("NetworkParams.epsilon", network("epsilon"), "epsilon"),
@@ -80,6 +90,8 @@ NUMBER_FIELDS = [
     ("SimConfig.signal_frequency", simulation("signal_frequency"), "signal_frequency"),
     ("SimConfig.signal_amplitude", simulation("signal_amplitude"), "signal_amplitude"),
     ("estimate_psd", lambda x: estimate_psd(np.zeros(2**16), x), "sample_rate"),
+    ("band_average.exclude_hz", lambda x: band_average(PSD, x, 2.0), "exclude_hz"),
+    ("band_average.exclude_width_hz", lambda x: band_average(PSD, 100.0, x), "exclude_width_hz"),
     ("SnrSettings.input_total_db", levels("input_total_db"), "input_total_db"),
     ("SnrSettings.output_noise_db", levels("output_noise_db"), "output_noise_db"),
     ("infer_snr.total_db", lambda x: infer_snr(x, 0.0, 0.9), "total_db"),
@@ -119,7 +131,13 @@ ARRAY_FIELDS = [
     ("spectrum_from_modes", lambda x: spectrum_from_modes(P, x), "phi"),
     ("spectrum_closed_form", lambda x: spectrum_closed_form(P, x), "phi"),
     ("detected_variance", lambda x: detected_variance(x, 0.9), "variance"),
+    # a trace column must also be 1-D, ordered and positive, so only the
+    # rejections are run on it
+    ("SweepTrace.phase", trace_column("phase"), "phase"),
+    ("SweepTrace.variance_linear", trace_column("variance_linear"), "variance_linear"),
+    ("SweepTrace.variance_db", trace_column("variance_db"), "variance_db"),
 ]
+MODEL_ARRAY_FIELDS = [case for case in ARRAY_FIELDS if not case[0].startswith("SweepTrace.")]
 
 # bools, strings and other objects, alone, in an array or among floats, and
 # non-finite elements
@@ -168,10 +186,30 @@ def test_array_field_rejects_non_numbers(call, name, bad):
     ],
 )
 @pytest.mark.parametrize(
-    "call", [case[1] for case in ARRAY_FIELDS], ids=[case[0] for case in ARRAY_FIELDS]
+    "call", [case[1] for case in MODEL_ARRAY_FIELDS], ids=[case[0] for case in MODEL_ARRAY_FIELDS]
 )
 def test_array_field_accepts_real_numbers(call, value):
     assert np.array_equal(call(value), call(np.asarray(value, dtype=float)))
+
+
+def test_non_finite_array_error_names_the_element():
+    phase = np.linspace(0.0, 1.0, 361)
+    phase[5] = math.nan
+    with pytest.raises(ValueError) as info:
+        SweepTrace(phase=phase, variance_linear=np.ones(361), variance_db=np.zeros(361))
+    assert str(info.value) == "phase must be finite, got nan at index 5"
+    with pytest.raises(ValueError, match=r"^phi must be finite, got inf at index \(1, 0\)$"):
+        spectrum_from_modes(P, np.array([[0.0, 1.0], [math.inf, 2.0]]))
+
+
+def test_band_average_width_not_negative():
+    with pytest.raises(ValueError, match=r"^exclude_width_hz must be >= 0, got -1\.0$"):
+        band_average(PSD, 100.0, -1.0)
+    with pytest.raises(ValueError, match="^exclude_width_hz "):
+        band_average(PSD, exclude_width_hz=-1.0)
+    # a zero width masks only a bin exactly at exclude_hz
+    assert band_average(PSD, 100.0, 0.0) != band_average(PSD)
+    assert band_average(PSD, 100.5, 0.0) == band_average(PSD)
 
 
 def test_complex_gain_parts_checked():
