@@ -99,6 +99,27 @@ def variance_of(expansion: QuadratureExpansion, sources: SourceVariances) -> flo
     return total
 
 
+class _LazyNumpy:
+    """numpy, imported on the first read of one of its attributes.
+
+    The import statement takes the import system's lock, so threads that
+    race to the first read all get the whole module (an importlib.util
+    LazyLoader module gives all but one of them a half-run one).  Each name
+    is stored on its first read, so later reads skip __getattr__."""
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+# numpy as network, montecarlo and cli use it: the scalar paths (import
+# phaseff, the optimize and snr subcommands) never read it, so never load it
+np = _LazyNumpy()
+
+
 def _real(name: str, value) -> float:
     """value as a finite float if it is an int, a float or a numpy real
     scalar (not a bool or a string); else a ValueError naming the field."""

@@ -20,9 +20,7 @@ import dataclasses
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping
 
-import numpy as np
-
-from .algebra import _real, db_from_linear
+from .algebra import _real, db_from_linear, np
 from .montecarlo import BandpassKernel, FlatKernel, SimConfig, oracle_compare
 from .network import (
     NetworkParams,
@@ -295,12 +293,15 @@ def _value(value):
     """A report value as both formats write it: a float cut to 12 significant
     digits, a bool or a str as it is, an int as an int; anything else (None,
     a complex, an array, a numpy bool) is a TypeError."""
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return float(_fmt(value))
     if isinstance(value, (bool, str)):
         return value
-    if isinstance(value, (int, np.integer)):
+    # numpy types are tested last, so a report of plain values loads no numpy
+    if isinstance(value, int) or isinstance(value, np.integer):
         return int(value)
+    if isinstance(value, np.floating):
+        return float(_fmt(value))
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 

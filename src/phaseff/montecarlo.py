@@ -14,9 +14,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-import numpy as np
-
-from .algebra import NoiseMode, _real
+from .algebra import NoiseMode, _real, np
 from .network import NetworkParams, spectrum_from_modes
 
 MIN_SAMPLES = 2**14

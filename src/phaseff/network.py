@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .algebra import NoiseMode, QuadratureExpansion, _real, linear_from_db
+from .algebra import NoiseMode, QuadratureExpansion, _real, linear_from_db, np
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,13 @@ class NetworkParams:
         for name in ("epsilon", "eta_h1", "eta_d1", "eta_det2"):
             object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
         g = self.gain
-        parts = (g.real, g.imag) if isinstance(g, (complex, np.complexfloating)) else (g, 0.0)
+        # numpy types are tested last, so a plain gain loads no numpy
+        if isinstance(g, complex) or (
+            not isinstance(g, (int, float, str)) and isinstance(g, np.complexfloating)
+        ):
+            parts = (g.real, g.imag)
+        else:
+            parts = (g, 0.0)
         object.__setattr__(self, "gain", complex(*(_real("gain", x) for x in parts)))
         v = _real("v_phase_in", self.v_phase_in)
         if not v >= 1.0:
@@ -60,6 +64,27 @@ class NetworkParams:
         return replace(self, gain=gain)
 
 
+def _table(params: NetworkParams) -> list[list[complex]]:
+    """mode_coefficients' weights as nested lists of Python numbers: the one
+    place they are written, which the scalar paths read without numpy."""
+    eps = params.epsilon
+    eh, ed = params.eta_h1, params.eta_d1
+    k = params.gain
+    detector = k * math.sqrt(1.0 - ed) / math.sqrt(2.0)
+    return [
+        [math.sqrt(eps), 0.0, -math.sqrt(1.0 - eps), 0.0, 0.0, 0.0, 0.0],
+        [
+            0.0,
+            math.sqrt(eps) + k * math.sqrt(eh * ed * (1.0 - eps)),
+            0.0,
+            k * math.sqrt(ed * eh * eps) - math.sqrt(1.0 - eps),
+            k * math.sqrt(ed * (1.0 - eh)),
+            detector,
+            detector,
+        ],
+    ]
+
+
 def mode_coefficients(params: NetworkParams) -> np.ndarray:
     """Weight of every noise mode in the two output quadratures.
 
@@ -71,25 +96,7 @@ def mode_coefficients(params: NetworkParams) -> np.ndarray:
     mode-mismatch vacuum, and the two balanced-detector vacua.  The output
     quadrature at angle phi is cos(phi) * row 0 + sin(phi) * row 1.
     """
-    eps = params.epsilon
-    eh, ed = params.eta_h1, params.eta_d1
-    k = params.gain
-    detector = k * math.sqrt(1.0 - ed) / math.sqrt(2.0)
-    return np.array(
-        [
-            [math.sqrt(eps), 0.0, -math.sqrt(1.0 - eps), 0.0, 0.0, 0.0, 0.0],
-            [
-                0.0,
-                math.sqrt(eps) + k * math.sqrt(eh * ed * (1.0 - eps)),
-                0.0,
-                k * math.sqrt(ed * eh * eps) - math.sqrt(1.0 - eps),
-                k * math.sqrt(ed * (1.0 - eh)),
-                detector,
-                detector,
-            ],
-        ],
-        dtype=complex,
-    )
+    return np.array(_table(params), dtype=complex)
 
 
 _INPUT_PHASE = list(NoiseMode).index(NoiseMode.INPUT_PHASE)
@@ -103,10 +110,10 @@ def _mode_variances(params: NetworkParams) -> np.ndarray:
     return variances
 
 
-def _phase_weights(params: NetworkParams) -> np.ndarray:
-    """|weight|^2 of every mode in the output phase quadrature (table row 1)."""
-    phase_row = mode_coefficients(params)[1]
-    return phase_row.real * phase_row.real + phase_row.imag * phase_row.imag
+def _phase_weights(params: NetworkParams) -> list[float]:
+    """|weight|^2 of every mode in the output phase quadrature (table row 1),
+    in Python floats: the same operations, so the same bits, as on the array."""
+    return [w.real * w.real + w.imag * w.imag for w in _table(params)[1]]
 
 
 def output_expansion(params: NetworkParams, phi: float) -> QuadratureExpansion:
@@ -209,12 +216,12 @@ def spectrum_closed_form(params: NetworkParams, phi):
 
 def phase_variance(params: NetworkParams) -> float:
     """Output phase-quadrature variance (angle pi/2), vacuum units."""
-    return float(_phase_weights(params) @ _mode_variances(params))
+    return float(np.array(_phase_weights(params)) @ _mode_variances(params))
 
 
 def signal_power_gain(params: NetworkParams) -> float:
     """Power gain applied to a phase-quadrature signal riding on the input."""
-    return float(_phase_weights(params)[_INPUT_PHASE])
+    return _phase_weights(params)[_INPUT_PHASE]
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -247,8 +254,13 @@ def transfer_ratio(params: NetworkParams) -> float:
     does not depend on the signal power or on v_phase_in.
     """
     weights = _phase_weights(params)
-    # every mode at the vacuum level: the floor is the plain sum of weights
-    return float(weights[_INPUT_PHASE] / weights.sum())
+    # every mode at the vacuum level: the floor is the plain sum of weights,
+    # taken left to right as numpy sums seven elements (from Python 3.12 on,
+    # sum() compensates and may round differently)
+    floor = 0.0
+    for w in weights:
+        floor += w
+    return weights[_INPUT_PHASE] / floor
 
 
 def max_transfer_ratio(epsilon: float, eta_h: float, eta_d: float) -> float:

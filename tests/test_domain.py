@@ -36,6 +36,7 @@ from phaseff import (
     spectrum_from_modes,
 )
 from phaseff import montecarlo
+from phaseff.cli import _value
 
 NETWORK = {"epsilon": 0.2, "eta_h1": 0.94, "eta_d1": 0.91, "gain": 3.2}
 P = NetworkParams(**NETWORK)
@@ -216,6 +217,32 @@ def test_complex_gain_parts_checked():
     with pytest.raises(ValueError, match="^gain "):
         NetworkParams(**{**NETWORK, "gain": complex(1.0, math.inf)})
     assert NetworkParams(**{**NETWORK, "gain": np.complex128(1.0 + 0.5j)}).gain == 1.0 + 0.5j
+
+
+@pytest.mark.parametrize(
+    "gain",
+    [np.float32(0.1), np.int64(-3), np.complex64(0.1 - 2.5j), np.complex128(1.5 + 0.2j)],
+    ids=["float32", "int64", "complex64", "complex128"],
+)
+def test_numpy_gain_scalars_become_complex(gain):
+    # the plain-type checks come first, so these reach the numpy checks
+    p = NetworkParams(**{**NETWORK, "gain": gain})
+    assert type(p.gain) is complex and p.gain == complex(gain)
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(np.float32(0.1), 0.10000000149), (np.int64(-7), -7), (np.float64(1 / 3), 0.333333333333)],
+    ids=["float32", "int64", "float64"],
+)
+def test_report_value_maps_numpy_scalars(value, want):
+    got = _value(value)
+    assert type(got) is type(want) and got == want
+
+
+def test_report_value_refuses_numpy_bool():
+    with pytest.raises(TypeError, match="^cannot serialize value of type bool"):
+        _value(np.bool_(False))
 
 
 # (case id, SweepSettings keyword arguments, the field its error must name)

@@ -1,5 +1,7 @@
-"""Import-path guard: scipy.signal loads only when a bandpass kernel runs,
-and concurrent.futures only when a Monte Carlo run spans several chunks.
+"""Import-path guard: numpy loads only when an array path runs, so not for
+`import phaseff` nor for the optimize and snr subcommands; scipy.signal
+loads only when a bandpass kernel runs, and concurrent.futures only when a
+Monte Carlo run spans several chunks.
 
 Each check starts a fresh interpreter, since the test process itself has
 long since imported everything.
@@ -15,7 +17,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 EXAMPLE = os.path.join(ROOT, "configs", "example.json")
-LAZY = ("scipy.signal", "concurrent.futures")
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+LAZY = ("numpy", "scipy.signal", "concurrent.futures")
 
 
 def _loaded(code: str, cwd) -> dict:
@@ -38,6 +41,10 @@ def _loaded(code: str, cwd) -> dict:
 @pytest.fixture(scope="module")
 def after_import(tmp_path_factory):
     return _loaded("import phaseff", tmp_path_factory.mktemp("import"))
+
+
+def test_import_phaseff_skips_numpy(after_import):
+    assert not after_import["numpy"]
 
 
 def test_import_phaseff_skips_scipy_signal(after_import):
@@ -84,3 +91,66 @@ def test_bandpass_kernel_loads_scipy_signal(tmp_path):
         "apply_kernel(k, np.zeros(64), p, 8192.0)\n"
     )
     assert _loaded(code, tmp_path)["scipy.signal"]
+
+
+# the scalar subcommands, each rendered in both formats to its golden file
+SCALAR_OUTPUTS = {
+    f"{command}.{fmt}": [command, "--config", EXAMPLE, "--format", fmt]
+    for command in ("optimize", "snr")
+    for fmt in ("json", "csv")
+}
+
+
+@pytest.fixture(scope="module")
+def scalar_run(tmp_path_factory):
+    """The scalar subcommands' stdout, written in a fresh interpreter into
+    files named after their golden files, and the modules loaded at exit."""
+    cwd = tmp_path_factory.mktemp("scalar")
+    code = "import contextlib\nfrom phaseff.cli import main\n" + "".join(
+        f"with open({name!r}, 'w') as out, contextlib.redirect_stdout(out):\n"
+        f"    assert main({argv!r}) == 0\n"
+        for name, argv in SCALAR_OUTPUTS.items()
+    )
+    return _loaded(code, cwd), cwd
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_OUTPUTS))
+def test_scalar_commands_match_golden_files(scalar_run, name):
+    _, cwd = scalar_run
+    with open(os.path.join(GOLDEN, name), "rb") as golden:
+        assert (cwd / name).read_bytes() == golden.read()
+
+
+def test_scalar_commands_skip_numpy(scalar_run):
+    loaded, _ = scalar_run
+    assert not loaded["numpy"]
+
+
+def test_spectrum_loads_numpy(tmp_path):
+    code = (
+        "from phaseff.cli import main\n"
+        f"assert main(['spectrum', '--config', {EXAMPLE!r}]) == 0\n"
+    )
+    assert _loaded(code, tmp_path)["numpy"]
+
+
+def test_threads_racing_to_load_numpy_all_get_it(tmp_path):
+    # eight threads make phaseff's first numpy read at once, switching often
+    code = (
+        "import sys, threading\n"
+        "from phaseff import NetworkParams, spectrum_from_modes\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "p = NetworkParams(epsilon=0.2, eta_h1=0.94, eta_d1=0.91, gain=3.2)\n"
+        "start, results = threading.Barrier(8, timeout=60), []\n"
+        "def work():\n"
+        "    start.wait()\n"
+        "    results.append(spectrum_from_modes(p, [0.0, 1.0]).tolist())\n"
+        "threads = [threading.Thread(target=work) for _ in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=60)\n"
+        "assert not any(t.is_alive() for t in threads)\n"
+        "assert len(results) == 8 and all(r == results[0] for r in results), results\n"
+    )
+    assert _loaded(code, tmp_path)["numpy"]

@@ -1,6 +1,7 @@
 """Tests for the analytic feed-forward network model."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from phaseff import (
     variance_of,
 )
 from phaseff.montecarlo import _CHUNK, MIN_SAMPLES, _substream
+from phaseff.network import _table
 
 # Benchmark operating point used throughout: 20% transmission, measured
 # in-loop efficiencies, gain 3.2, inferred input phase variance 8.6 dB,
@@ -177,6 +179,118 @@ class TestModeCoefficients:
                 spectrum_from_modes(p, phi),
                 rel_tol=1e-14,
             )
+
+
+def _array_table(p):
+    """The table as mode_coefficients built it before _table: each weight
+    written into the array expression."""
+    eps = p.epsilon
+    eh, ed = p.eta_h1, p.eta_d1
+    k = p.gain
+    detector = k * math.sqrt(1.0 - ed) / math.sqrt(2.0)
+    return np.array(
+        [
+            [math.sqrt(eps), 0.0, -math.sqrt(1.0 - eps), 0.0, 0.0, 0.0, 0.0],
+            [
+                0.0,
+                math.sqrt(eps) + k * math.sqrt(eh * ed * (1.0 - eps)),
+                0.0,
+                k * math.sqrt(ed * eh * eps) - math.sqrt(1.0 - eps),
+                k * math.sqrt(ed * (1.0 - eh)),
+                detector,
+                detector,
+            ],
+        ],
+        dtype=complex,
+    )
+
+
+def _array_weights(p):
+    phase_row = _array_table(p)[1]
+    return phase_row.real * phase_row.real + phase_row.imag * phase_row.imag
+
+
+def _array_closed_form(p, phi):
+    """spectrum_closed_form as it was computed on the array weights."""
+    eps = p.epsilon
+    eh, ed = p.eta_h1, p.eta_d1
+    k = p.gain
+    v = p.v_phase_in
+    angles = np.asarray(phi, dtype=float)
+    s2 = np.sin(angles) ** 2
+    c2 = np.cos(angles) ** 2
+    weights = _array_weights(p)
+    signal_gain = weights[column(NoiseMode.INPUT_PHASE)]
+    ratio2 = abs(1.0 + k * math.sqrt(eh * ed * (1.0 - eps) / eps)) ** 2
+    den = c2 + ratio2 * s2
+    safe = np.where(den > 0.0, den, 1.0)
+    sin2a = np.where(den > 0.0, ratio2 * s2 / safe, 0.0)
+    cos2a = np.where(den > 0.0, c2 / safe, 1.0)
+    prefactor = np.sqrt(v * v / (sin2a + v * v * cos2a))
+    tap_phase = weights[column(NoiseMode.TAP_VACUUM_PHASE)]
+    loop_loss = abs(k) ** 2 * (1.0 - ed * eh)
+    return (
+        prefactor * (eps * c2 + signal_gain * s2)
+        + (1.0 - eps) * c2
+        + tap_phase * s2
+        + loop_loss * s2
+    )
+
+
+def _operating_points():
+    """The benchmark point, its edge cases and 60 seeded random points."""
+    points = [
+        BENCH,
+        replace(BENCH, gain=2.5 - 1.25j),
+        replace(BENCH, gain=-1.5),
+        replace(BENCH, eta_d1=1.0),
+        replace(BENCH, eta_h1=1.0),
+        replace(BENCH, epsilon=1.0, eta_h1=1.0, eta_d1=1.0, gain=0.0),
+    ]
+    rng = random.Random(1201)
+    for _ in range(60):
+        imag = rng.choice([0.0, rng.uniform(-2.0, 2.0)])
+        points.append(
+            params_like(
+                rng.uniform(0.01, 1.0),
+                rng.choice([1.0, rng.uniform(0.01, 1.0)]),
+                rng.choice([1.0, rng.uniform(0.01, 1.0)]),
+                complex(rng.uniform(-6.0, 6.0), imag),
+                rng.uniform(1.0, 50.0),
+            )
+        )
+    return points
+
+
+OPERATING_POINTS = _operating_points()
+
+
+class TestScalarPathBits:
+    """The Python-number table and gains against the array arithmetic they
+    replaced, bit for bit: a 12-digit golden file cannot see a 1-ulp move."""
+
+    @pytest.mark.parametrize("p", OPERATING_POINTS)
+    def test_table_is_the_array_table(self, p):
+        want = _array_table(p)
+        assert np.array(_table(p), dtype=complex).tobytes() == want.tobytes()
+        assert mode_coefficients(p).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", OPERATING_POINTS)
+    def test_gains_and_variances_keep_their_bits(self, p):
+        weights = _array_weights(p)
+        variances = np.ones(len(NoiseMode))
+        variances[column(NoiseMode.INPUT_PHASE)] = p.v_phase_in
+        signal = weights[column(NoiseMode.INPUT_PHASE)]
+        assert signal_power_gain(p) == float(signal)
+        assert transfer_ratio(p) == float(signal / weights.sum())
+        assert phase_variance(p) == float(weights @ variances)
+
+    @pytest.mark.parametrize("p", OPERATING_POINTS)
+    def test_closed_form_keeps_its_bits(self, p):
+        grid = np.linspace(0.0, 2.0 * math.pi, 97)
+        assert spectrum_closed_form(p, grid).tobytes() == _array_closed_form(p, grid).tobytes()
+        for phi in (0.0, 0.7, math.pi / 2.0):
+            assert spectrum_closed_form(p, phi) == float(_array_closed_form(p, phi))
 
 
 class TestOutputExpansion:
