@@ -9,10 +9,10 @@ deviation in combined standard errors.
 import math
 
 from phaseff import NetworkParams, SimConfig, oracle_compare
+from phaseff.cli import MC_ANGLES
 
 SAMPLE_RATE = 262144.0
 DURATION = 1.0  # 64 segments of 4096 samples
-ANGLES = (0.0, math.pi / 4.0, math.pi / 2.0)
 
 SETUPS = [
     ("cancellation gain, lossless", NetworkParams(epsilon=0.2, eta_h1=1.0, eta_d1=1.0, gain=2.0), 101),
@@ -26,7 +26,7 @@ def main() -> int:
     failures = 0
     for label, params, seed in SETUPS:
         cfg = SimConfig(params=params, sample_rate=SAMPLE_RATE, duration=DURATION, seed=seed)
-        report = oracle_compare(cfg, ANGLES)
+        report = oracle_compare(cfg, MC_ANGLES)
         for row in report.rows:
             verdict = "ok" if row.within_tolerance else "FAIL"
             failures += 0 if row.within_tolerance else 1

@@ -37,7 +37,7 @@ def main() -> int:
     config = load_config(str(CONFIG))
     z = np.empty((len(SEEDS), len(MC_ANGLES)))
     for i, seed in enumerate(SEEDS):
-        sim = replace(config.simulation, params=config.network, seed=seed)
+        sim = replace(config.simulation, seed=seed)
         for j, row in enumerate(oracle_compare(sim, MC_ANGLES).rows):
             z[i, j] = (row.mc_variance - row.analytic_variance) / row.standard_error
 

@@ -147,12 +147,7 @@ class SweepSettings:
 @dataclass(frozen=True)
 class RunConfig:
     """Parsed JSON config: network settings plus optional sweep, simulation,
-    and SNR blocks.
-
-    simulation is built against the network with its gain made real; the
-    montecarlo subcommand swaps in the network itself, so a complex gain with
-    the flat kernel, which the time domain cannot run, fails only there.
-    """
+    and SNR blocks.  simulation runs the network itself."""
 
     network: NetworkParams
     sweep: SweepSettings = field(default_factory=SweepSettings)
@@ -373,7 +368,7 @@ def load_trace_csv(path: str, detected: bool = False) -> SweepTrace:
             raise ValueError(
                 f"unexpected trace header {header!r}, expected {list(TRACE_HEADER)}"
             )
-        phase, linear, level_db = [], [], []
+        columns = {"phase": [], "variance_linear": [], "variance_db": []}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -383,15 +378,13 @@ def load_trace_csv(path: str, detected: bool = False) -> SweepTrace:
                 values = [float(cell) for cell in row]
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric cell in {row!r}") from None
-            phase.append(values[0])
-            linear.append(values[1])
-            level_db.append(values[2])
-    return SweepTrace(
-        phase=np.array(phase),
-        variance_linear=np.array(linear),
-        variance_db=np.array(level_db),
-        detected=detected,
-    )
+            try:
+                for (name, column), value in zip(columns.items(), values):
+                    column.append(_real(name, value))
+            except ValueError as exc:  # labelled on failure: a label per cell doubled the read
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    arrays = {name: np.array(column) for name, column in columns.items()}
+    return SweepTrace(**arrays, detected=detected)
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +466,8 @@ def load_config(path: str) -> RunConfig:
     if "sweep" in blocks:
         config["sweep"] = _build(SweepSettings, blocks["sweep"], "sweep")
     if "simulation" in blocks:
-        real_gain = network.with_gain(network.gain.real)
         config["simulation"] = _build(
-            SimConfig, blocks["simulation"], "simulation", {"kernel": _kernel}, params=real_gain
+            SimConfig, blocks["simulation"], "simulation", {"kernel": _kernel}, params=network
         )
     if "snr" in blocks:
         config["snr"] = _build(SnrSettings, blocks["snr"], "snr")
@@ -545,7 +537,7 @@ def _cmd_snr(args, config: RunConfig) -> dict:
 def _cmd_montecarlo(args, config: RunConfig) -> dict:
     if config.simulation is None:
         raise ValueError("config has no 'simulation' block")
-    sim = replace(config.simulation, params=config.network)
+    sim = config.simulation
     if args.seed is not None:
         sim = replace(sim, seed=args.seed)
     result = oracle_compare(sim, MC_ANGLES)

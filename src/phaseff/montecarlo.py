@@ -102,8 +102,6 @@ class SimConfig:
             )
         if not isinstance(self.kernel, (FlatKernel, BandpassKernel)):
             raise ValueError(f"unknown kernel type {type(self.kernel).__name__}")
-        if isinstance(self.kernel, FlatKernel) and self.params.gain.imag != 0.0:
-            raise ValueError("time-domain runs with the flat kernel need a real gain")
         if isinstance(self.kernel, BandpassKernel) and (
             self.kernel.center_hz >= self.sample_rate / 2.0
         ):
@@ -133,21 +131,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _check_1d(name: str, value, size: int | None = None) -> None:
-    """Refuse anything but a 1-D numpy array (of `size` samples, if given),
-    naming the field."""
-    if not (isinstance(value, np.ndarray) and value.ndim == 1):
-        got = f"shape {value.shape}" if isinstance(value, np.ndarray) else type(value).__name__
-        raise ValueError(f"{name} must be a 1-D array, got {got}")
+def _stream(name: str, value, size: int | None = None) -> None:
+    """Refuse anything but a stream, a 1-D float64 numpy array (of `size`
+    samples, if given), naming the field."""
+    if not (isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64):
+        got = f"{value.dtype} {value.shape}" if isinstance(value, np.ndarray) else type(value).__name__
+        raise ValueError(f"{name} must be a 1-D float64 array, got {got}")
     if size is not None and value.size != size:
         raise ValueError(f"{name} has {value.size} samples, need {size}")
 
 
 def _check_out(out, *inputs: np.ndarray) -> None:
-    """Refuse an `out` that is not a 1-D array of the inputs' length, or that
+    """Refuse an `out` that is not a stream of the inputs' length, or that
     shares memory with an input without being that input element for
     element: the chunked loops would read samples they had overwritten."""
-    _check_1d("out", out, inputs[0].size)
+    _stream("out", out, inputs[0].size)
     for x in inputs:
         same = out.ctypes.data == x.ctypes.data and out.strides == x.strides
         if not same and np.shares_memory(out, x):
@@ -156,20 +154,20 @@ def _check_out(out, *inputs: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureStreams:
-    """Output-beam quadrature time series, vacuum units: two 1-D arrays of
+    """Output-beam quadrature time series, vacuum units: two streams of
     equal length."""
 
     amplitude: np.ndarray
     phase: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_1d("amplitude", self.amplitude)
-        _check_1d("phase", self.phase, self.amplitude.size)
+        _stream("amplitude", self.amplitude)
+        _stream("phase", self.phase, self.amplitude.size)
 
     def at_angle(self, phi: float, out: np.ndarray | None = None) -> np.ndarray:
         """Projection cos(phi)*amplitude + sin(phi)*phase.
 
-        Written into `out` (a 1-D array of the streams' length, which may be
+        Written into `out` (a stream of the streams' length, which may be
         amplitude or phase itself) if given, else into a new array, and
         returned.  The projection runs a chunk of _CHUNK samples at a time,
         so it holds one chunk's temporary besides the result, and gives the
@@ -179,7 +177,7 @@ class QuadratureStreams:
         c, s = math.cos(phi), math.sin(phi)
         n = self.amplitude.size
         if out is None:
-            out = np.empty(n, dtype=np.result_type(c, self.amplitude, self.phase))
+            out = np.empty(n)
         else:
             _check_out(out, self.amplitude, self.phase)
         for start in range(0, n, _CHUNK):
@@ -197,23 +195,22 @@ def apply_kernel(
     sample_rate: float,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Feed-forward electronics acting on the 1-D photocurrent.
+    """Feed-forward electronics acting on the photocurrent stream.
 
-    The flat kernel is a pure scale by the network gain.  The bandpass kernel
-    is a causal IIR resonator (scipy's peak filter), so its output at sample
-    n depends only on samples <= n.  It runs a chunk of _CHUNK samples at a
-    time and carries the resonator state from chunk to chunk, so it holds
-    one chunk's output besides the result and gives the bits of one
-    whole-array filter call.  scipy is needed only for the bandpass kernel:
+    The flat kernel is a pure scale by the network gain, which must be real.
+    The bandpass kernel is a causal IIR resonator (scipy's peak filter), so
+    its output at sample n depends only on samples <= n.  It runs a chunk of
+    _CHUNK samples at a time and carries the resonator state from chunk to
+    chunk, so it holds one chunk's output besides the result and gives the
+    bits of one whole-array filter call.  scipy is needed only for the bandpass kernel:
     scipy.signal is imported on its first use, so importing phaseff and
     flat-kernel runs load numpy alone.
 
-    The result is written into `out` (a 1-D array of the photocurrent's
+    The result is written into `out` (a stream of the photocurrent's
     length, which may be the photocurrent itself) if given, else into a new
     array, and returned.
     """
-    photocurrent = np.asarray(photocurrent, dtype=float)
-    _check_1d("photocurrent", photocurrent)
+    _stream("photocurrent", photocurrent)
     if out is not None:
         _check_out(out, photocurrent)
     if isinstance(kernel, FlatKernel):
@@ -376,11 +373,11 @@ def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEsti
     interior bin contributes a^2 * m / 4 (m = segment length).  Standard
     errors come from the scatter of the per-segment periodograms.  The rows
     are transformed in blocks of about _CHUNK samples on every usable CPU;
-    the result does not depend on the thread count.
+    the result does not depend on the thread count.  A series with a NaN or
+    inf sample, or whose periodogram overflows, is refused once its bins are
+    formed, so the samples are never scanned.
     """
-    series = np.asarray(series, dtype=float)
-    if series.ndim != 1:
-        raise ValueError(f"series must be 1-D, got shape {series.shape}")
+    _stream("series", series)
     if not (isinstance(segment_count, int) and segment_count >= 8):
         raise ValueError(f"segment_count must be an integer >= 8, got {segment_count!r}")
     if not _real("sample_rate", sample_rate) > 0.0:
@@ -401,6 +398,8 @@ def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEsti
 
     _parallel(fill_rows, -(-segment_count // per_block))
     variance = periodograms.mean(axis=0)
+    if not np.isfinite(variance).all():
+        raise ValueError("series has non-finite PSD bins: a NaN or inf sample, or overflow")
     standard_error = periodograms.std(axis=0, ddof=1) / math.sqrt(segment_count)
     frequencies = np.fft.rfftfreq(seg_len, d=1.0 / sample_rate)
     return PsdEstimate(

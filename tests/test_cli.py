@@ -19,6 +19,7 @@ from phaseff import (
     detected_variance,
     emit,
     fit_gain,
+    load_config,
     load_trace_csv,
     report_snr,
     run_sweep,
@@ -634,7 +635,7 @@ class TestCliCommands:
         assert main(["fit", str(trace_path), "--config", config_path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: phase must be finite, got nan at index 5\n"
+        assert captured.err == f"error: {trace_path}:7: phase must be finite, got nan\n"
 
     def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
         rc = main(["optimize", "--config", str(tmp_path / "nope.json")])
@@ -656,6 +657,13 @@ class TestCliCommands:
         assert json.loads(capsys.readouterr().out)["configured_gain_imag"] == 0.5
         assert main(["montecarlo", "--config", str(path)]) == 1
         assert "real gain" in capsys.readouterr().err
+
+    def test_simulation_runs_the_configured_network(self, tmp_path):
+        path = tmp_path / "complex.json"
+        path.write_text(json.dumps(edited("network", "gain", [3.2, 0.5])))
+        config = load_config(str(path))
+        assert config.network.gain == complex(3.2, 0.5)
+        assert config.simulation.params == config.network
 
     def test_out_of_memory_fails_cleanly(self, monkeypatch, capsys, config_path):
         # e.g. `sweep --points 10**12`: numpy raises MemoryError for the grid

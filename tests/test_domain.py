@@ -286,12 +286,17 @@ def projection(amplitude, out):
     return QuadratureStreams(amplitude, np.zeros(10)).at_angle(0.3, out=out)
 
 
+def psd(series):
+    return estimate_psd(series, 1024.0, segment_count=8)
+
+
 # SHIFTED[:10] and SHIFTED[1:] overlap in nine samples
 SHIFTED = np.arange(11.0)
 
 # (case id, call with the array under test, the name its error must give).
-# The kernels and the projection work a chunk at a time over 1-D arrays, so
-# anything else would be sliced wrongly.
+# A stream is a 1-D float64 array: the kernels and the projection work a chunk
+# at a time over 1-D arrays, so anything else would be sliced wrongly, and no
+# stream is converted.  A NaN or inf series shows in its PSD bins.
 STREAM_FIELDS = [
     ("streams-length", lambda: QuadratureStreams(np.ones(10), np.ones(1)), "phase"),
     ("streams-list", lambda: QuadratureStreams([1.0, 2.0], np.ones(2)), "amplitude"),
@@ -307,6 +312,16 @@ STREAM_FIELDS = [
     ("projection-out-length", lambda: projection(np.ones(10), np.empty(11)), "out"),
     ("projection-out-2d", lambda: projection(np.ones(10), np.empty((10, 1))), "out"),
     ("projection-out-shifted", lambda: projection(SHIFTED[:10], SHIFTED[1:]), "out"),
+    ("projection-out-float32", lambda: projection(np.ones(10), np.empty(10, np.float32)), "out"),
+    ("flat-out-float32", lambda: flat(np.ones(10), out=np.empty(10, np.float32)), "out"),
+    ("streams-int", lambda: QuadratureStreams(np.ones(10), np.ones(10, int)), "phase"),
+    ("flat-list", lambda: flat([1.0] * 10), "photocurrent"),
+    ("bandpass-int", lambda: bandpass(np.ones(10, int)), "photocurrent"),
+    ("psd-list", lambda: psd([1.0] * 2**13), "series"),
+    ("psd-strings", lambda: psd(np.full(2**13, "1.0")), "series"),
+    ("psd-2d", lambda: psd(np.ones((8, 1024))), "series"),
+    ("psd-nan", lambda: psd(np.append(np.ones(2**13 - 1), math.nan)), "series"),
+    ("psd-inf", lambda: psd(np.append(np.ones(2**13 - 1), math.inf)), "series"),
 ]
 
 

@@ -56,9 +56,18 @@ class TestSimConfig:
         assert cfg.n_samples == 2**14
 
     def test_complex_gain_with_flat_kernel_rejected(self):
+        # the rule is apply_kernel's: the config builds, and every run refuses it
         p = NetworkParams(epsilon=0.2, eta_h1=1.0, eta_d1=1.0, gain=1 + 2j)
-        with pytest.raises(ValueError, match="real gain"):
-            config_for(p)
+        cfg = config_for(p)
+        assert cfg.params == p
+        runs = [
+            lambda: simulate_streams(cfg),
+            lambda: oracle_compare(cfg, [0.0]),
+            lambda: apply_kernel(FlatKernel(), np.ones(4), p, FS),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match="real gain"):
+                run()
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, False])
     def test_bad_seed_rejected(self, seed):
