@@ -30,6 +30,9 @@ _MODE_ORDER = tuple(NoiseMode)
 # the realization does not depend on how chunks are scheduled over threads.
 _CHUNK = 2**18
 
+# Samples per block of a coherent tone's time axis (32 kB of float64).
+_TONE_BLOCK = 2**12
+
 
 @dataclass(frozen=True)
 class FlatKernel:
@@ -284,7 +287,12 @@ def _chunk_streams(
     x = draw(NoiseMode.INPUT_PHASE, row)
     x *= math.sqrt(p.v_phase_in)
     if config.signal_amplitude > 0.0:
-        tone = np.divide(np.arange(start, stop), config.sample_rate, out=other)
+        # the run's sample indices as floats, a block at a time, so no index
+        # array the chunk's length is made; each is below 2^53, so exact
+        for lo in range(0, stop - start, _TONE_BLOCK):
+            block = other[lo : lo + _TONE_BLOCK]
+            block[...] = np.arange(start + lo, start + lo + block.size, dtype=float)
+        tone = np.divide(other, config.sample_rate, out=other)
         tone *= 2.0 * math.pi * config.signal_frequency
         np.sin(tone, out=tone)
         tone *= config.signal_amplitude
@@ -394,7 +402,10 @@ def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEsti
 
     def fill_rows(block: int) -> None:
         part = slice(block * per_block, (block + 1) * per_block)
-        periodograms[part] = np.abs(np.fft.rfft(segments[part], axis=1)) ** 2 / seg_len
+        # a non-finite sample is refused below, once, not warned of here too;
+        # numpy's error state is per thread, so it is set on each worker
+        with np.errstate(invalid="ignore", over="ignore"):
+            periodograms[part] = np.abs(np.fft.rfft(segments[part], axis=1)) ** 2 / seg_len
 
     _parallel(fill_rows, -(-segment_count // per_block))
     variance = periodograms.mean(axis=0)

@@ -103,9 +103,9 @@ _INPUT_PHASE = list(NoiseMode).index(NoiseMode.INPUT_PHASE)
 _TAP_VACUUM_PHASE = list(NoiseMode).index(NoiseMode.TAP_VACUUM_PHASE)
 
 
-def _mode_variances(params: NetworkParams) -> np.ndarray:
+def _mode_variances(params: NetworkParams) -> list[float]:
     """Variance of each table column: vacuum, except v_phase_in on the input phase."""
-    variances = np.ones(len(NoiseMode))
+    variances = [1.0] * len(NoiseMode)
     variances[_INPUT_PHASE] = params.v_phase_in
     return variances
 
@@ -147,21 +147,36 @@ def _reals(name: str, value) -> np.ndarray:
     return np.vectorize(lambda item: _real(name, item), otypes=[float])(items)
 
 
+def _namespace(name: str, value):
+    """(value, math) for a Python int or float, held to algebra._real's rule,
+    and (value, numpy) for anything else, held to _reals': the module whose
+    sin, cos and sqrt a formula written once for a scalar or an array uses.
+    The Python types are tested first, so a scalar never loads numpy."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return _real(name, value), math
+    return _reals(name, value), np
+
+
+def _unwrap(total):
+    """A formula's result: a float for a scalar or 0-d input, else the array."""
+    return total if getattr(total, "ndim", 0) else float(total)
+
+
 def spectrum_from_modes(params: NetworkParams, phi):
     """Output quadrature variance at angle phi, summed mode by mode.
 
     The input amplitude and phase quadratures are uncorrelated here: the
     amplitude sits at the vacuum level and the phase at v_phase_in.  Accepts
-    a scalar angle or an array of angles.
+    a scalar angle or an array of angles; each mode's row
+    cos(phi) * amplitude + sin(phi) * phase is folded into the sum in turn.
     """
-    angles = _reals("phi", phi)
-    amplitude, phase = mode_coefficients(params)
-    rows = np.cos(angles)[..., None] * amplitude + np.sin(angles)[..., None] * phase
-    weights = rows.real * rows.real + rows.imag * rows.imag
-    total = np.sum(weights * _mode_variances(params), axis=-1)
-    if np.ndim(phi) == 0:
-        return float(total)
-    return total
+    angles, xp = _namespace("phi", phi)
+    c, s = xp.cos(angles), xp.sin(angles)
+    total = 0.0
+    for a, b, variance in zip(*_table(params), _mode_variances(params)):
+        w = c * a + s * b
+        total = total + (w.real * w.real + w.imag * w.imag) * variance
+    return _unwrap(total)
 
 
 def spectrum_closed_form(params: NetworkParams, phi):
@@ -182,9 +197,11 @@ def spectrum_closed_form(params: NetworkParams, phi):
     k = params.gain
     v = params.v_phase_in
 
-    angles = _reals("phi", phi)
-    s2 = np.sin(angles) ** 2
-    c2 = np.cos(angles) ** 2
+    angles, xp = _namespace("phi", phi)
+    s, c = xp.sin(angles), xp.cos(angles)
+    # squared by multiplication, as numpy squares an array: a float's ** 2
+    # is libm's pow, which differs from it in the last bit now and then
+    s2, c2 = s * s, c * c
 
     weights = _phase_weights(params)
     signal_gain = weights[_INPUT_PHASE]
@@ -194,11 +211,11 @@ def spectrum_closed_form(params: NetworkParams, phi):
     # table instead, both round differently and move the pinned fit output.
     ratio2 = abs(1.0 + k * math.sqrt(eh * ed * (1.0 - eps) / eps)) ** 2
 
+    # den >= cos^2 phi > 0: no finite double is an odd multiple of pi/2
     den = c2 + ratio2 * s2
-    safe = np.where(den > 0.0, den, 1.0)
-    sin2a = np.where(den > 0.0, ratio2 * s2 / safe, 0.0)
-    cos2a = np.where(den > 0.0, c2 / safe, 1.0)
-    prefactor = np.sqrt(v * v / (sin2a + v * v * cos2a))
+    sin2a = ratio2 * s2 / den
+    cos2a = c2 / den
+    prefactor = xp.sqrt(v * v / (sin2a + v * v * cos2a))
 
     tap_phase = weights[_TAP_VACUUM_PHASE]
     loop_loss = abs(k) ** 2 * (1.0 - ed * eh)
@@ -209,14 +226,12 @@ def spectrum_closed_form(params: NetworkParams, phi):
         + tap_phase * s2
         + loop_loss * s2
     )
-    if np.ndim(phi) == 0:
-        return float(total)
-    return total
+    return _unwrap(total)
 
 
 def phase_variance(params: NetworkParams) -> float:
     """Output phase-quadrature variance (angle pi/2), vacuum units."""
-    return float(np.array(_phase_weights(params)) @ _mode_variances(params))
+    return float(np.array(_phase_weights(params)) @ np.array(_mode_variances(params)))
 
 
 def signal_power_gain(params: NetworkParams) -> float:
@@ -289,11 +304,11 @@ def detected_variance(variance, eta: float):
     variance and an array for an array.
     """
     eta = _check_unit_interval("eta", eta)
-    arr = _reals("variance", variance)
-    if np.any(arr < 0.0):
+    values, xp = _namespace("variance", variance)
+    negative = values < 0.0
+    if negative if xp is math else negative.any():
         raise ValueError(f"variance must be >= 0, got {variance!r}")
-    out = eta * arr + (1.0 - eta)
-    return float(out) if out.ndim == 0 else out
+    return _unwrap(eta * values + (1.0 - eta))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Import-path guard: numpy loads only when an array path runs, so not for
-`import phaseff` nor for the optimize and snr subcommands; scipy.signal
-loads only when a bandpass kernel runs, and concurrent.futures only when a
-Monte Carlo run spans several chunks.
+`import phaseff` nor for the optimize, snr and spectrum subcommands, which
+evaluate their formulas on Python floats with math; scipy.signal loads only
+when a bandpass kernel runs, and concurrent.futures only when a Monte Carlo
+run spans several chunks.
 
 Each check starts a fresh interpreter, since the test process itself has
 long since imported everything.
@@ -93,11 +94,19 @@ def test_bandpass_kernel_loads_scipy_signal(tmp_path):
     assert _loaded(code, tmp_path)["scipy.signal"]
 
 
-# the scalar subcommands, each rendered in both formats to its golden file
+# the scalar subcommands, each rendered to its golden files: optimize and snr
+# in both formats, spectrum with both formulas, detected and at --phi 0.7
 SCALAR_OUTPUTS = {
-    f"{command}.{fmt}": [command, "--config", EXAMPLE, "--format", fmt]
-    for command in ("optimize", "snr")
-    for fmt in ("json", "csv")
+    **{
+        f"{command}.{fmt}": [command, "--config", EXAMPLE, "--format", fmt]
+        for command in ("optimize", "snr")
+        for fmt in ("json", "csv")
+    },
+    **{
+        f"spectrum_{name}{suffix}.json": ["spectrum", "--config", EXAMPLE, *flags, *formula]
+        for name, flags in (("detected", ["--detected"]), ("phi0.7", ["--phi", "0.7"]))
+        for suffix, formula in (("", []), ("_coefficient", ["--formula", "coefficient"]))
+    },
 }
 
 
@@ -126,10 +135,10 @@ def test_scalar_commands_skip_numpy(scalar_run):
     assert not loaded["numpy"]
 
 
-def test_spectrum_loads_numpy(tmp_path):
+def test_sweep_loads_numpy(tmp_path):
     code = (
         "from phaseff.cli import main\n"
-        f"assert main(['spectrum', '--config', {EXAMPLE!r}]) == 0\n"
+        f"assert main(['sweep', '--config', {EXAMPLE!r}, '--points', '8']) == 0\n"
     )
     assert _loaded(code, tmp_path)["numpy"]
 

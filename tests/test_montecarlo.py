@@ -6,6 +6,7 @@ All statistical assertions run with fixed seeds, so they are deterministic.
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,18 @@ class TestEstimatePsd:
         want_se = rows.std(axis=0, ddof=1) / math.sqrt(segment_count)
         assert np.array_equal(est.standard_error, want_se)
         assert np.array_equal(est.frequencies, np.fft.rfftfreq(m, d=1.0 / FS))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    # one block on the calling thread; two blocks, one per worker thread
+    @pytest.mark.parametrize("segment_count", [8, 512])
+    def test_non_finite_series_raises_only_the_error(self, monkeypatch, bad, segment_count):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        series = np.ones(1024 * segment_count)
+        series[-1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite PSD bins"):
+                estimate_psd(series, FS, segment_count=segment_count)
 
     def test_band_average_masks_tone(self):
         m, n_seg = 1024, 64
@@ -488,6 +501,21 @@ class TestChunks:
         finally:
             tracemalloc.stop()
         assert peak / _CHUNK <= bound
+
+    def test_chunk_streams_with_tone_peak_memory_per_sample(self, monkeypatch):
+        # the tone's time axis is built in small blocks inside a scratch row,
+        # so a full chunk with a tone stays within the plain chunk's bound;
+        # an int64 index array the chunk's length took 8 B per sample more
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        cfg = chunked_config("tone")
+        out = tuple(np.empty(_CHUNK) for _ in range(3))
+        tracemalloc.start()
+        try:
+            montecarlo._chunk_streams(cfg, 0, 1, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / _CHUNK <= 20.0
 
     def test_one_chunk_oracle_peak_memory_per_sample(self, monkeypatch):
         # a one-chunk run on one CPU: the projected series (8 B per sample),

@@ -237,6 +237,32 @@ def _array_closed_form(p, phi):
     )
 
 
+def _array_from_modes(p, phi):
+    """spectrum_from_modes as it was computed: one broadcast over the array
+    table, then numpy's sum over the seven modes."""
+    angles = np.asarray(phi, dtype=float)
+    amplitude, phase = _array_table(p)
+    rows = np.cos(angles)[..., None] * amplitude + np.sin(angles)[..., None] * phase
+    weights = rows.real * rows.real + rows.imag * rows.imag
+    variances = np.ones(len(NoiseMode))
+    variances[column(NoiseMode.INPUT_PHASE)] = p.v_phase_in
+    return np.sum(weights * variances, axis=-1)
+
+
+# angles where cos(phi)^2, the floor of the closed form's denominator, is
+# smallest: the odd multiples of pi/2 nearest a double, their neighbours, and
+# an angle whose reduction mod 2*pi is far from the argument
+EDGE_ANGLES = [
+    math.pi / 2.0,
+    3.0 * math.pi / 2.0,
+    math.nextafter(math.pi / 2.0, 0.0),
+    math.nextafter(math.pi / 2.0, 4.0),
+    math.nextafter(3.0 * math.pi / 2.0, 0.0),
+    math.nextafter(3.0 * math.pi / 2.0, 7.0),
+    1e300,
+]
+
+
 def _operating_points():
     """The benchmark point, its edge cases and 60 seeded random points."""
     points = [
@@ -291,6 +317,42 @@ class TestScalarPathBits:
         assert spectrum_closed_form(p, grid).tobytes() == _array_closed_form(p, grid).tobytes()
         for phi in (0.0, 0.7, math.pi / 2.0):
             assert spectrum_closed_form(p, phi) == float(_array_closed_form(p, phi))
+
+
+    @pytest.mark.parametrize("p", OPERATING_POINTS)
+    def test_modes_keep_their_bits(self, p):
+        grid = np.linspace(0.0, 2.0 * math.pi, 97)
+        assert spectrum_from_modes(p, grid).tobytes() == _array_from_modes(p, grid).tobytes()
+
+    @pytest.mark.parametrize("p", OPERATING_POINTS)
+    @pytest.mark.parametrize("formula", [spectrum_closed_form, spectrum_from_modes])
+    def test_scalar_path_is_the_array_element(self, p, formula):
+        grid = np.linspace(0.0, 2.0 * math.pi, 97)
+        values = formula(p, grid)
+        assert [formula(p, phi) for phi in grid.tolist()] == values.tolist()
+        detected = detected_variance(values, p.eta_det2)
+        assert [detected_variance(v, p.eta_det2) for v in values.tolist()] == detected.tolist()
+
+    @pytest.mark.parametrize("formula", [spectrum_closed_form, spectrum_from_modes])
+    def test_scalar_path_is_the_array_element_at_many_angles(self, formula):
+        # both paths square by multiplication; a scalar squared with ** (libm
+        # pow) differed from the array element in the last bit at 17 of these
+        rng = random.Random(1401)
+        angles = [rng.uniform(-10.0, 10.0) for _ in range(20_000)]
+        assert [formula(BENCH, phi) for phi in angles] == formula(BENCH, angles).tolist()
+
+    @pytest.mark.parametrize("p", OPERATING_POINTS)
+    def test_closed_form_denominator_is_positive(self, p):
+        # den = cos^2 + ratio2 sin^2 >= cos^2 > 0, so the closed form needs no
+        # guard against a zero denominator; the guarded form gives the same bits
+        angles = np.array(EDGE_ANGLES)
+        c2, s2 = np.cos(angles) ** 2, np.sin(angles) ** 2
+        k = p.gain
+        ratio2 = abs(1.0 + k * math.sqrt(p.eta_h1 * p.eta_d1 * (1.0 - p.epsilon) / p.epsilon)) ** 2
+        assert np.all(c2 > 0.0) and np.all(c2 + ratio2 * s2 > 0.0)
+        want = _array_closed_form(p, angles)
+        assert spectrum_closed_form(p, angles).tobytes() == want.tobytes()
+        assert [spectrum_closed_form(p, phi) for phi in EDGE_ANGLES] == want.tolist()
 
 
 class TestOutputExpansion:
