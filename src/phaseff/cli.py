@@ -25,6 +25,8 @@ from .montecarlo import BandpassKernel, FlatKernel, SimConfig, oracle_compare
 from .network import (
     NetworkParams,
     SnrReport,
+    _closed_form,
+    _from_modes,
     _reals,
     detected_variance,
     ideal_gain,
@@ -44,11 +46,20 @@ SPECTRUM_FORMULAS: Mapping[str, object] = {
     "coefficient": spectrum_from_modes,
 }
 
+# The same formulas as functions of (cos phi, sin phi, module), their
+# angle-free terms taken once: the CLI sweep evaluates them angle by angle.
+_LEVELS = {"paper": _closed_form, "coefficient": _from_modes}
+
 TRACE_HEADER = ("phase_rad", "variance_linear", "variance_db")
 
 # Most angles a sweep may have: checked before the grid is allocated, so an
 # oversized --points or sweep.points fails at once instead of exhausting memory.
 MAX_SWEEP_POINTS = 1_000_000
+
+# Most angles the sweep subcommand evaluates one by one on Python floats,
+# loading no numpy: up to here that costs less than numpy's import (about
+# 0.12 s); a longer sweep takes run_sweep's arrays, which give the same bytes.
+_SCALAR_SWEEP_MAX = 16_384
 
 # The fit brackets the gain on [0, FIT_K_MAX] and stops at a width of FIT_TOL.
 FIT_K_MAX = 10.0
@@ -155,6 +166,24 @@ class RunConfig:
     snr: SnrSettings | None = None
 
 
+@dataclass(frozen=True)
+class _SweepColumns:
+    """A sweep as the CLI writes it: SweepTrace's columns as lists of Python
+    floats, so that building and rendering it loads no numpy."""
+
+    phase: list
+    variance_linear: list
+    variance_db: list
+    detected: bool
+
+
+def _check_points(n_points) -> None:
+    if not (isinstance(n_points, int) and 8 <= n_points <= MAX_SWEEP_POINTS):
+        raise ValueError(
+            f"n_points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {n_points!r}"
+        )
+
+
 def run_sweep(
     params: NetworkParams,
     n_points: int = 361,
@@ -163,10 +192,7 @@ def run_sweep(
 ) -> SweepTrace:
     """Evaluate the chosen spectrum formula on a uniform [0, 2*pi] grid of
     8 to MAX_SWEEP_POINTS angles."""
-    if not (isinstance(n_points, int) and 8 <= n_points <= MAX_SWEEP_POINTS):
-        raise ValueError(
-            f"n_points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {n_points!r}"
-        )
+    _check_points(n_points)
     phase = np.linspace(0.0, _TWO_PI, n_points)
     values = _levels(params, phase, formula, detected)
     level_db = np.array([db_from_linear(v) for v in values])
@@ -175,15 +201,37 @@ def run_sweep(
     )
 
 
+def _sweep_columns(
+    params: NetworkParams, n_points: int, formula: str, detected: bool
+) -> _SweepColumns:
+    """run_sweep's columns, bit for bit, evaluated angle by angle with math:
+    linspace's grid is i * (2*pi / (n - 1)) with its last angle 2*pi, and
+    each formula and detected_variance give a Python float the bits of the
+    array element."""
+    _check_points(n_points)
+    level = _LEVELS[_formula(formula)](params)
+    _check_bool("detected", detected)
+    step = _TWO_PI / (n_points - 1)
+    phase = [i * step for i in range(n_points - 1)] + [_TWO_PI]
+    values = [level(math.cos(phi), math.sin(phi), math) for phi in phase]
+    if detected:
+        values = [detected_variance(v, params.eta_det2) for v in values]
+    level_db = [db_from_linear(v) for v in values]
+    return _SweepColumns(phase, values, level_db, detected)
+
+
+def _formula(formula: str) -> str:
+    if not (isinstance(formula, str) and formula in SPECTRUM_FORMULAS):
+        raise ValueError(
+            f"unknown formula {formula!r}, expected one of {sorted(SPECTRUM_FORMULAS)}"
+        )
+    return formula
+
+
 def _levels(params: NetworkParams, phase, formula: str, detected: bool):
     """Output quadrature variance at angle(s) phase by the named formula, read
     through the verification stage (efficiency eta_det2) when detected."""
-    try:
-        spectrum = SPECTRUM_FORMULAS[formula]
-    except (KeyError, TypeError):
-        raise ValueError(
-            f"unknown formula {formula!r}, expected one of {sorted(SPECTRUM_FORMULAS)}"
-        ) from None
+    spectrum = SPECTRUM_FORMULAS[_formula(formula)]
     _check_bool("detected", detected)
     values = spectrum(params, phase)
     return detected_variance(values, params.eta_det2) if detected else values
@@ -310,7 +358,7 @@ def _cell(value) -> str:
 def _render(obj, fmt: str) -> str:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'json'")
-    if isinstance(obj, SweepTrace):
+    if isinstance(obj, (SweepTrace, _SweepColumns)):
         columns = (obj.phase, obj.variance_linear, obj.variance_db)
         if fmt == "csv":
             rows = (f"{_fmt(p)},{_fmt(v)},{_fmt(d)}" for p, v, d in zip(*columns))
@@ -493,9 +541,10 @@ def _cmd_spectrum(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_sweep(args, config: RunConfig) -> SweepTrace:
+def _cmd_sweep(args, config: RunConfig):
     sweep = config.sweep
-    return run_sweep(config.network, sweep.points, sweep.formula, sweep.detected)
+    run = _sweep_columns if sweep.points <= _SCALAR_SWEEP_MAX else run_sweep
+    return run(config.network, sweep.points, sweep.formula, sweep.detected)
 
 
 def _cmd_optimize(args, config: RunConfig) -> dict:
@@ -643,7 +692,8 @@ def main(argv=None) -> int:
         flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SweepSettings)}
         sweep = replace(config.sweep, **{k: v for k, v in flags.items() if v is not None})
         result = args.func(args, replace(config, sweep=sweep))
-        fmt = args.format or ("csv" if isinstance(result, SweepTrace) else "json")
+        trace = isinstance(result, (SweepTrace, _SweepColumns))
+        fmt = args.format or ("csv" if trace else "json")
         if args.out:
             emit(result, args.out, fmt)
         else:

@@ -171,12 +171,22 @@ def spectrum_from_modes(params: NetworkParams, phi):
     cos(phi) * amplitude + sin(phi) * phase is folded into the sum in turn.
     """
     angles, xp = _namespace("phi", phi)
-    c, s = xp.cos(angles), xp.sin(angles)
-    total = 0.0
-    for a, b, variance in zip(*_table(params), _mode_variances(params)):
-        w = c * a + s * b
-        total = total + (w.real * w.real + w.imag * w.imag) * variance
-    return _unwrap(total)
+    return _unwrap(_from_modes(params)(xp.cos(angles), xp.sin(angles), xp))
+
+
+def _from_modes(params: NetworkParams):
+    """spectrum_from_modes as a function of (cos phi, sin phi, module): the
+    table is read once, so a sweep evaluated angle by angle reads it once."""
+    columns = tuple(zip(*_table(params), _mode_variances(params)))
+
+    def level(c, s, xp):
+        total = 0.0
+        for a, b, variance in columns:
+            w = c * a + s * b
+            total = total + (w.real * w.real + w.imag * w.imag) * variance
+        return total
+
+    return level
 
 
 def spectrum_closed_form(params: NetworkParams, phi):
@@ -192,16 +202,17 @@ def spectrum_closed_form(params: NetworkParams, phi):
     rather than weighting the phase part alone.  The Monte Carlo oracle sides
     with spectrum_from_modes.
     """
+    angles, xp = _namespace("phi", phi)
+    return _unwrap(_closed_form(params)(xp.cos(angles), xp.sin(angles), xp))
+
+
+def _closed_form(params: NetworkParams):
+    """spectrum_closed_form as a function of (cos phi, sin phi, module): the
+    terms that do not depend on the angle are taken once."""
     eps = params.epsilon
     eh, ed = params.eta_h1, params.eta_d1
     k = params.gain
     v = params.v_phase_in
-
-    angles, xp = _namespace("phi", phi)
-    s, c = xp.sin(angles), xp.cos(angles)
-    # squared by multiplication, as numpy squares an array: a float's ** 2
-    # is libm's pow, which differs from it in the last bit now and then
-    s2, c2 = s * s, c * c
 
     weights = _phase_weights(params)
     signal_gain = weights[_INPUT_PHASE]
@@ -210,23 +221,26 @@ def spectrum_closed_form(params: NetworkParams, phi):
     # the mismatch and detector columns (tests check both).  Taken from the
     # table instead, both round differently and move the pinned fit output.
     ratio2 = abs(1.0 + k * math.sqrt(eh * ed * (1.0 - eps) / eps)) ** 2
-
-    # den >= cos^2 phi > 0: no finite double is an odd multiple of pi/2
-    den = c2 + ratio2 * s2
-    sin2a = ratio2 * s2 / den
-    cos2a = c2 / den
-    prefactor = xp.sqrt(v * v / (sin2a + v * v * cos2a))
-
     tap_phase = weights[_TAP_VACUUM_PHASE]
     loop_loss = abs(k) ** 2 * (1.0 - ed * eh)
 
-    total = (
-        prefactor * (eps * c2 + signal_gain * s2)
-        + (1.0 - eps) * c2
-        + tap_phase * s2
-        + loop_loss * s2
-    )
-    return _unwrap(total)
+    def level(c, s, xp):
+        # squared by multiplication, as numpy squares an array: a float's ** 2
+        # is libm's pow, which differs from it in the last bit now and then
+        s2, c2 = s * s, c * c
+        # den >= cos^2 phi > 0: no finite double is an odd multiple of pi/2
+        den = c2 + ratio2 * s2
+        sin2a = ratio2 * s2 / den
+        cos2a = c2 / den
+        prefactor = xp.sqrt(v * v / (sin2a + v * v * cos2a))
+        return (
+            prefactor * (eps * c2 + signal_gain * s2)
+            + (1.0 - eps) * c2
+            + tap_phase * s2
+            + loop_loss * s2
+        )
+
+    return level
 
 
 def phase_variance(params: NetworkParams) -> float:

@@ -24,6 +24,7 @@ from phaseff import (
     report_snr,
     run_sweep,
 )
+from phaseff import cli
 from phaseff.cli import MAX_SWEEP_POINTS, main
 
 V_IN = 10.0**0.86
@@ -333,6 +334,20 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="unknown formula"):
             run_sweep(BENCH, formula="exact")
 
+    @pytest.mark.parametrize("formula", ["paper", "coefficient"])
+    @pytest.mark.parametrize("detected", [False, True])
+    def test_cli_sweep_is_run_sweep_bit_for_bit(self, formula, detected):
+        # the sweep subcommand evaluates up to _SCALAR_SWEEP_MAX angles one by
+        # one on Python floats: each column must carry run_sweep's bits
+        for p in (BENCH, BENCH.with_gain(2.5 - 1.25j), BENCH.with_gain(-1.5)):
+            for n in (8, 97, 361, cli._SCALAR_SWEEP_MAX):
+                got = cli._sweep_columns(p, n, formula, detected)
+                want = run_sweep(p, n, formula, detected)
+                assert got.detected is want.detected
+                for name in ("phase", "variance_linear", "variance_db"):
+                    column = np.array(getattr(got, name))
+                    assert column.tobytes() == getattr(want, name).tobytes(), (p, n, name)
+
 
 class TestFitGain:
     @pytest.mark.parametrize("k0", [0.5, 1.0, 2.0, 3.2])
@@ -550,6 +565,15 @@ class TestCliCommands:
         assert lines[0] == "phase_rad,variance_linear,variance_db"
         assert len(lines) == 362
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_past_the_scalar_limit_renders_alike(self, capsys, config_path, fmt):
+        # one point more takes run_sweep's arrays: the same text as the lists
+        n = cli._SCALAR_SWEEP_MAX + 1
+        argv = ["sweep", "--config", config_path, "--points", str(n), "--format", fmt]
+        assert main(argv) == 0
+        columns = cli._sweep_columns(BENCH, n, "paper", False)
+        assert capsys.readouterr().out == cli._render(columns, fmt)
+
     def test_sweep_stdout_json_override(self, capsys, config_path):
         assert main(["sweep", "--config", config_path, "--format", "json", "--points", "9"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -666,15 +690,19 @@ class TestCliCommands:
         assert config.simulation.params == config.network
 
     def test_out_of_memory_fails_cleanly(self, monkeypatch, capsys, config_path):
-        # e.g. `sweep --points 10**12`: numpy raises MemoryError for the grid
+        # e.g. `sweep --points 10**12`: numpy raises MemoryError for the grid;
+        # a short sweep's Python lists would raise it too
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB")
 
         monkeypatch.setattr("phaseff.cli.run_sweep", exhausted)
-        assert main(["sweep", "--config", config_path]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: Unable to allocate 7.28 TiB\n"
+        monkeypatch.setattr("phaseff.cli._sweep_columns", exhausted)
+        for points in (cli._SCALAR_SWEEP_MAX, cli._SCALAR_SWEEP_MAX + 1):
+            argv = ["sweep", "--config", config_path, "--points", str(points)]
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: Unable to allocate 7.28 TiB\n"
 
     def test_snr_without_block_fails(self, tmp_path, capsys):
         path = tmp_path / "nosnr.json"

@@ -1,8 +1,8 @@
 """Import-path guard: numpy loads only when an array path runs, so not for
-`import phaseff` nor for the optimize, snr and spectrum subcommands, which
-evaluate their formulas on Python floats with math; scipy.signal loads only
-when a bandpass kernel runs, and concurrent.futures only when a Monte Carlo
-run spans several chunks.
+`import phaseff` nor for the optimize, snr and spectrum subcommands, nor for
+a sweep of up to cli._SCALAR_SWEEP_MAX points, which evaluate their formulas
+on Python floats with math; scipy.signal loads only when a bandpass kernel
+runs, and concurrent.futures only when a Monte Carlo run spans several chunks.
 
 Each check starts a fresh interpreter, since the test process itself has
 long since imported everything.
@@ -95,7 +95,8 @@ def test_bandpass_kernel_loads_scipy_signal(tmp_path):
 
 
 # the scalar subcommands, each rendered to its golden files: optimize and snr
-# in both formats, spectrum with both formulas, detected and at --phi 0.7
+# in both formats, spectrum with both formulas, detected and at --phi 0.7,
+# and the golden sweeps
 SCALAR_OUTPUTS = {
     **{
         f"{command}.{fmt}": [command, "--config", EXAMPLE, "--format", fmt]
@@ -107,6 +108,13 @@ SCALAR_OUTPUTS = {
         for name, flags in (("detected", ["--detected"]), ("phi0.7", ["--phi", "0.7"]))
         for suffix, formula in (("", []), ("_coefficient", ["--formula", "coefficient"]))
     },
+    "sweep.csv": ["sweep", "--config", EXAMPLE],
+    "sweep_coefficient.csv": ["sweep", "--config", EXAMPLE, "--formula", "coefficient"],
+    "sweep_97.csv": ["sweep", "--config", EXAMPLE, "--points", "97"],
+    "sweep_97_coefficient.csv": [
+        "sweep", "--config", EXAMPLE, "--points", "97", "--formula", "coefficient",
+    ],
+    "sweep_97.json": ["sweep", "--config", EXAMPLE, "--points", "97", "--format", "json"],
 }
 
 
@@ -135,10 +143,11 @@ def test_scalar_commands_skip_numpy(scalar_run):
     assert not loaded["numpy"]
 
 
-def test_sweep_loads_numpy(tmp_path):
+def test_long_sweep_loads_numpy(tmp_path):
     code = (
-        "from phaseff.cli import main\n"
-        f"assert main(['sweep', '--config', {EXAMPLE!r}, '--points', '8']) == 0\n"
+        "from phaseff.cli import _SCALAR_SWEEP_MAX, main\n"
+        f"argv = ['sweep', '--config', {EXAMPLE!r}, '--out', 'long.csv']\n"
+        "assert main(argv + ['--points', str(_SCALAR_SWEEP_MAX + 1)]) == 0\n"
     )
     assert _loaded(code, tmp_path)["numpy"]
 
