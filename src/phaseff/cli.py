@@ -35,20 +35,13 @@ from .network import (
     optimal_gain,
     pia_transfer_ratio,
     signal_power_gain,
-    spectrum_closed_form,
-    spectrum_from_modes,
     transfer_ratio,
 )
 
-# Flag values accepted by --formula.
-SPECTRUM_FORMULAS: Mapping[str, object] = {
-    "paper": spectrum_closed_form,
-    "coefficient": spectrum_from_modes,
-}
-
-# The same formulas as functions of (cos phi, sin phi, module), their
-# angle-free terms taken once: the CLI sweep evaluates them angle by angle.
-_LEVELS = {"paper": _closed_form, "coefficient": _from_modes}
+# Flag values accepted by --formula: network.spectrum_closed_form and
+# network.spectrum_from_modes as functions of (cos phi, sin phi, module),
+# their angle-free terms taken once per network.
+SPECTRUM_FORMULAS: Mapping[str, object] = {"paper": _closed_form, "coefficient": _from_modes}
 
 TRACE_HEADER = ("phase_rad", "variance_linear", "variance_db")
 
@@ -145,7 +138,7 @@ class SweepSettings:
     detected: bool = False
 
     def __post_init__(self) -> None:
-        # the range of points is run_sweep's to check
+        # the range of points is _check_points' to check
         if isinstance(self.points, bool) or not isinstance(self.points, int):
             raise ValueError(f"points must be an integer, got {self.points!r}")
         if not (isinstance(self.formula, str) and self.formula in SPECTRUM_FORMULAS):
@@ -193,8 +186,9 @@ def run_sweep(
     """Evaluate the chosen spectrum formula on a uniform [0, 2*pi] grid of
     8 to MAX_SWEEP_POINTS angles."""
     _check_points(n_points)
+    level = _level(params, formula, detected)
     phase = np.linspace(0.0, _TWO_PI, n_points)
-    values = _levels(params, phase, formula, detected)
+    values = level(np.cos(phase), np.sin(phase), np)
     level_db = np.array([db_from_linear(v) for v in values])
     return SweepTrace(
         phase=phase, variance_linear=values, variance_db=level_db, detected=detected
@@ -209,32 +203,27 @@ def _sweep_columns(
     each formula and detected_variance give a Python float the bits of the
     array element."""
     _check_points(n_points)
-    level = _LEVELS[_formula(formula)](params)
-    _check_bool("detected", detected)
+    level = _level(params, formula, detected)
     step = _TWO_PI / (n_points - 1)
     phase = [i * step for i in range(n_points - 1)] + [_TWO_PI]
     values = [level(math.cos(phi), math.sin(phi), math) for phi in phase]
-    if detected:
-        values = [detected_variance(v, params.eta_det2) for v in values]
     level_db = [db_from_linear(v) for v in values]
     return _SweepColumns(phase, values, level_db, detected)
 
 
-def _formula(formula: str) -> str:
+def _level(params: NetworkParams, formula: str, detected: bool):
+    """Output quadrature variance by the named formula, as a function of
+    (cos phi, sin phi, module), read through the verification stage
+    (efficiency eta_det2) when detected."""
     if not (isinstance(formula, str) and formula in SPECTRUM_FORMULAS):
         raise ValueError(
             f"unknown formula {formula!r}, expected one of {sorted(SPECTRUM_FORMULAS)}"
         )
-    return formula
-
-
-def _levels(params: NetworkParams, phase, formula: str, detected: bool):
-    """Output quadrature variance at angle(s) phase by the named formula, read
-    through the verification stage (efficiency eta_det2) when detected."""
-    spectrum = SPECTRUM_FORMULAS[_formula(formula)]
     _check_bool("detected", detected)
-    values = spectrum(params, phase)
-    return detected_variance(values, params.eta_det2) if detected else values
+    level = SPECTRUM_FORMULAS[formula](params)
+    if not detected:
+        return level
+    return lambda c, s, xp: detected_variance(level(c, s, xp), params.eta_det2)
 
 
 def _golden_section_min(func, lo: float, hi: float, tol: float) -> tuple[float, int]:
@@ -277,9 +266,10 @@ def fit_gain(trace: SweepTrace, params: NetworkParams, formula: str = "paper") -
     if spread <= 1e-9 * float(np.max(np.abs(trace.variance_linear))):
         raise ValueError("degenerate trace: variance is flat, nothing to fit")
     target = trace.variance_linear
+    c, s = np.cos(trace.phase), np.sin(trace.phase)
 
     def objective(k: float) -> float:
-        residual = _levels(params.with_gain(k), trace.phase, formula, trace.detected) - target
+        residual = _level(params.with_gain(k), formula, trace.detected)(c, s, np) - target
         return float(np.mean(residual * residual))
 
     grid = np.linspace(0.0, FIT_K_MAX, 201)
@@ -531,7 +521,9 @@ def load_config(path: str) -> RunConfig:
 def _cmd_spectrum(args, config: RunConfig) -> dict:
     sweep = config.sweep
     phi = _real("--phi", args.phi)
-    value = _levels(config.network, phi, sweep.formula, sweep.detected)
+    value = _level(config.network, sweep.formula, sweep.detected)(
+        math.cos(phi), math.sin(phi), math
+    )
     return {
         "phi_rad": phi,
         "formula": sweep.formula,

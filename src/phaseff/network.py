@@ -103,13 +103,6 @@ _INPUT_PHASE = list(NoiseMode).index(NoiseMode.INPUT_PHASE)
 _TAP_VACUUM_PHASE = list(NoiseMode).index(NoiseMode.TAP_VACUUM_PHASE)
 
 
-def _mode_variances(params: NetworkParams) -> list[float]:
-    """Variance of each table column: vacuum, except v_phase_in on the input phase."""
-    variances = [1.0] * len(NoiseMode)
-    variances[_INPUT_PHASE] = params.v_phase_in
-    return variances
-
-
 def _phase_weights(params: NetworkParams) -> list[float]:
     """|weight|^2 of every mode in the output phase quadrature (table row 1),
     in Python floats: the same operations, so the same bits, as on the array."""
@@ -176,8 +169,11 @@ def spectrum_from_modes(params: NetworkParams, phi):
 
 def _from_modes(params: NetworkParams):
     """spectrum_from_modes as a function of (cos phi, sin phi, module): the
-    table is read once, so a sweep evaluated angle by angle reads it once."""
-    columns = tuple(zip(*_table(params), _mode_variances(params)))
+    table is read once, so a sweep evaluated angle by angle reads it once.
+    Each column's variance is vacuum, except v_phase_in on the input phase."""
+    variances = [1.0] * len(NoiseMode)
+    variances[_INPUT_PHASE] = params.v_phase_in
+    columns = tuple(zip(*_table(params), variances))
 
     def level(c, s, xp):
         total = 0.0
@@ -244,8 +240,9 @@ def _closed_form(params: NetworkParams):
 
 
 def phase_variance(params: NetworkParams) -> float:
-    """Output phase-quadrature variance (angle pi/2), vacuum units."""
-    return float(np.array(_phase_weights(params)) @ np.array(_mode_variances(params)))
+    """Output phase-quadrature variance (angle pi/2), vacuum units: the mode
+    sum at cos phi = 0, sin phi = 1."""
+    return _from_modes(params)(0.0, 1.0, math)
 
 
 def signal_power_gain(params: NetworkParams) -> float:
@@ -282,14 +279,7 @@ def transfer_ratio(params: NetworkParams) -> float:
     floor, i.e. the phase variance with v_phase_in pinned to 1, so the ratio
     does not depend on the signal power or on v_phase_in.
     """
-    weights = _phase_weights(params)
-    # every mode at the vacuum level: the floor is the plain sum of weights,
-    # taken left to right as numpy sums seven elements (from Python 3.12 on,
-    # sum() compensates and may round differently)
-    floor = 0.0
-    for w in weights:
-        floor += w
-    return weights[_INPUT_PHASE] / floor
+    return signal_power_gain(params) / phase_variance(replace(params, v_phase_in=1.0))
 
 
 def max_transfer_ratio(epsilon: float, eta_h: float, eta_d: float) -> float:

@@ -23,6 +23,8 @@ from phaseff import (
     load_trace_csv,
     report_snr,
     run_sweep,
+    spectrum_closed_form,
+    spectrum_from_modes,
 )
 from phaseff import cli
 from phaseff.cli import MAX_SWEEP_POINTS, main
@@ -338,7 +340,10 @@ class TestRunSweep:
     @pytest.mark.parametrize("detected", [False, True])
     def test_cli_sweep_is_run_sweep_bit_for_bit(self, formula, detected):
         # the sweep subcommand evaluates up to _SCALAR_SWEEP_MAX angles one by
-        # one on Python floats: each column must carry run_sweep's bits
+        # one on Python floats: each column must carry run_sweep's bits, and
+        # both must carry those of the public formula on the same grid, since
+        # the two paths share cli._level
+        spectrum = {"paper": spectrum_closed_form, "coefficient": spectrum_from_modes}[formula]
         for p in (BENCH, BENCH.with_gain(2.5 - 1.25j), BENCH.with_gain(-1.5)):
             for n in (8, 97, 361, cli._SCALAR_SWEEP_MAX):
                 got = cli._sweep_columns(p, n, formula, detected)
@@ -347,6 +352,10 @@ class TestRunSweep:
                 for name in ("phase", "variance_linear", "variance_db"):
                     column = np.array(getattr(got, name))
                     assert column.tobytes() == getattr(want, name).tobytes(), (p, n, name)
+                reference = spectrum(p, np.linspace(0.0, 2.0 * math.pi, n))
+                if detected:
+                    reference = detected_variance(reference, p.eta_det2)
+                assert want.variance_linear.tobytes() == reference.tobytes(), (p, n)
 
 
 class TestFitGain:

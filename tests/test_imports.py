@@ -1,8 +1,9 @@
 """Import-path guard: numpy loads only when an array path runs, so not for
 `import phaseff` nor for the optimize, snr and spectrum subcommands, nor for
 a sweep of up to cli._SCALAR_SWEEP_MAX points, which evaluate their formulas
-on Python floats with math; scipy.signal loads only when a bandpass kernel
-runs, and concurrent.futures only when a Monte Carlo run spans several chunks.
+on Python floats with math, nor for the library's scalar formulas;
+scipy.signal loads only when a bandpass kernel runs, and concurrent.futures
+only when a Monte Carlo run spans several chunks.
 
 Each check starts a fresh interpreter, since the test process itself has
 long since imported everything.
@@ -141,6 +142,21 @@ def test_scalar_commands_match_golden_files(scalar_run, name):
 def test_scalar_commands_skip_numpy(scalar_run):
     loaded, _ = scalar_run
     assert not loaded["numpy"]
+
+
+def test_scalar_formulas_skip_numpy(tmp_path):
+    # the library's scalar formulas, a complex gain and v_phase_in > 1 included
+    code = (
+        "from phaseff import (NetworkParams, detected_variance, phase_variance,\n"
+        "    signal_power_gain, spectrum_closed_form, spectrum_from_modes, transfer_ratio)\n"
+        "p = NetworkParams(0.2, 0.94, 0.91, 2.5 - 1.25j, v_phase_in=7.2, eta_det2=0.8)\n"
+        "assert phase_variance(p) > 0.0 and transfer_ratio(p) > 0.0\n"
+        "assert signal_power_gain(p) > 0.0\n"
+        "for formula in (spectrum_closed_form, spectrum_from_modes):\n"
+        "    for phi in (0.0, 0.7, 1.5707963267948966):\n"
+        "        assert detected_variance(formula(p, phi), p.eta_det2) > 0.0\n"
+    )
+    assert not _loaded(code, tmp_path)["numpy"]
 
 
 def test_long_sweep_loads_numpy(tmp_path):

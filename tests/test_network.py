@@ -303,12 +303,18 @@ class TestScalarPathBits:
 
     @pytest.mark.parametrize("p", OPERATING_POINTS)
     def test_gains_and_variances_keep_their_bits(self, p):
+        # phase_variance and transfer_ratio are the mode sum at the phase
+        # quadrature; they were the numpy dot below and a left-to-right loop
         weights = _array_weights(p)
         variances = np.ones(len(NoiseMode))
         variances[column(NoiseMode.INPUT_PHASE)] = p.v_phase_in
         signal = weights[column(NoiseMode.INPUT_PHASE)]
         assert signal_power_gain(p) == float(signal)
         assert transfer_ratio(p) == float(signal / weights.sum())
+        floor = 0.0
+        for w in weights.tolist():
+            floor += w
+        assert transfer_ratio(p) == float(signal) / floor
         assert phase_variance(p) == float(weights @ variances)
 
     @pytest.mark.parametrize("p", OPERATING_POINTS)
