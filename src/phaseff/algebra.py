@@ -10,9 +10,112 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum, unique
 from typing import Mapping
+
+
+class _DataclassFields:
+    """A record class's __dataclass_fields__, built on its first read from a
+    dataclasses.make_dataclass over the same names, types and defaults, then
+    stored on the class: dataclasses.fields, replace, asdict and
+    is_dataclass work on records, and only their callers import dataclasses."""
+
+    def __get__(self, instance, owner):
+        if owner is Record:  # the base has no fields of its own to describe
+            raise AttributeError("__dataclass_fields__")
+        import dataclasses
+
+        spec = [
+            (name, owner.__annotations__[name])
+            + ((owner._defaults[name],) if name in owner._defaults else ())
+            for name in owner._fields
+        ]
+        fields = dataclasses.make_dataclass(owner.__name__, spec, frozen=True).__dataclass_fields__
+        owner.__dataclass_fields__ = fields
+        return fields
+
+
+class Record:
+    """Base of phaseff's frozen records, with the semantics of
+    @dataclass(frozen=True) and no dataclasses import.
+
+    A subclass's fields are its annotations, in order, and a class attribute
+    of the same name is the field's default.  Instances are built from
+    positional or keyword arguments, then __post_init__ runs; they compare
+    and hash by their field values (by identity if the class is declared with
+    eq=False) and refuse assignment and deletion with dataclasses'
+    FrozenInstanceError.
+    """
+
+    _fields = ()
+    _defaults = {}
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls, eq: bool = True, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, defaults = self._fields, self._defaults
+        if len(args) > len(fields):
+            raise self._call_error(f"takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields, args))
+        if not values.keys().isdisjoint(kwargs):
+            repeated = next(name for name in fields if name in kwargs)
+            raise self._call_error(f"got multiple values for argument {repeated!r}")
+        values.update(kwargs)
+        # one by one in field order, as a dataclass sets them, so the instance
+        # keeps the shared-key dict that makes its attribute reads fast
+        for name in fields:
+            if name in values:
+                object.__setattr__(self, name, values.pop(name))
+            elif name in defaults:
+                object.__setattr__(self, name, defaults[name])
+            else:
+                raise self._call_error(f"missing required argument {name!r}")
+        if values:
+            raise self._call_error(f"got an unexpected keyword argument {next(iter(values))!r}")
+        self.__post_init__()
+
+    def _call_error(self, problem: str) -> TypeError:
+        return TypeError(f"{type(self).__qualname__}.__init__() {problem}")
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _asdict(self) -> dict:
+        """The field values by name (a shallow dataclasses.asdict)."""
+        return {name: getattr(self, name) for name in self._fields}
+
+    def _replace(self, **changes):
+        """A new record with `changes` over this one's values, checked again
+        (dataclasses.replace)."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(self._asdict().values()) == tuple(other._asdict().values())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._asdict().values()))
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @unique
@@ -32,8 +135,7 @@ class NoiseMode(Enum):
     DETECTOR_VACUUM_2 = "detector_vacuum_2"
 
 
-@dataclass(frozen=True)
-class QuadratureExpansion:
+class QuadratureExpansion(Record):
     """A quadrature observable as a weighted sum of noise modes.
 
     Exact-zero coefficients are dropped on construction, so mode membership
@@ -59,8 +161,7 @@ class QuadratureExpansion:
         return self.coefficients.get(mode, 0j)
 
 
-@dataclass(frozen=True)
-class SourceVariances:
+class SourceVariances(Record):
     """Spectral variance of each noise mode, in units of the vacuum variance."""
 
     variance: Mapping[NoiseMode, float]

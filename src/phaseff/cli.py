@@ -16,11 +16,9 @@ import math
 import os
 import sys
 import tempfile
-import dataclasses
-from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping
 
-from .algebra import _real, db_from_linear, np
+from .algebra import Record, _real, db_from_linear, np
 from .montecarlo import BandpassKernel, FlatKernel, SimConfig, oracle_compare
 from .network import (
     NetworkParams,
@@ -69,8 +67,7 @@ def _check_bool(name: str, value) -> None:
         raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SweepTrace:
+class SweepTrace(Record, eq=False):
     """Local-oscillator phase sweep of the output quadrature variance.
 
     phase is ordered and confined to [0, 2*pi]; variance_db mirrors
@@ -105,8 +102,7 @@ class SweepTrace:
         return int(self.phase.size)
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """Outcome of a one-parameter gain fit."""
 
     k_fit: float
@@ -114,8 +110,7 @@ class FitResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class SnrSettings:
+class SnrSettings(Record):
     """Measured spectrum-analyzer levels, power dB above the vacuum level."""
 
     input_total_db: float
@@ -124,12 +119,11 @@ class SnrSettings:
     output_noise_db: float
 
     def __post_init__(self) -> None:
-        for name in (f.name for f in dataclasses.fields(self)):
+        for name in self._fields:
             object.__setattr__(self, name, _real(name, getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class SweepSettings:
+class SweepSettings(Record):
     """Defaults of the sweep, spectrum and fit subcommands; their flags
     override them."""
 
@@ -148,19 +142,17 @@ class SweepSettings:
         _check_bool("detected", self.detected)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Parsed JSON config: network settings plus optional sweep, simulation,
     and SNR blocks.  simulation runs the network itself."""
 
     network: NetworkParams
-    sweep: SweepSettings = field(default_factory=SweepSettings)
+    sweep: SweepSettings = SweepSettings()
     simulation: SimConfig | None = None
     snr: SnrSettings | None = None
 
 
-@dataclass(frozen=True)
-class _SweepColumns:
+class _SweepColumns(Record):
     """A sweep as the CLI writes it: SweepTrace's columns as lists of Python
     floats, so that building and rendering it loads no numpy."""
 
@@ -426,8 +418,8 @@ def load_trace_csv(path: str, detected: bool = False) -> SweepTrace:
 
 
 # ---------------------------------------------------------------------------
-# Config file parsing.  A block's keys are its dataclass's fields, required
-# unless they have a default, and the dataclass checks the values.  Only the
+# Config file parsing.  A block's keys are its record's fields, required
+# unless they have a default, and the record checks the values.  Only the
 # JSON encodings of a complex gain and of a kernel are decoded here.
 # ---------------------------------------------------------------------------
 
@@ -439,24 +431,19 @@ def _object(block, name: str) -> dict:
 
 
 def _checked(cls, block, name: str, skip=()) -> dict:
-    """One config block, once its keys are those of dataclass cls less skip."""
-    fields = [f for f in dataclasses.fields(cls) if f.name not in skip]
-    unknown = set(_object(block, name)) - {f.name for f in fields}
+    """One config block, once its keys are those of record cls less skip."""
+    fields = set(cls._fields) - set(skip)
+    unknown = set(_object(block, name)) - fields
     if unknown:
         raise ValueError(f"unknown keys in {name!r} block: {sorted(unknown)}")
-    required = {
-        f.name
-        for f in fields
-        if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-    }
-    missing = required - set(block)
+    missing = fields - set(cls._defaults) - set(block)
     if missing:
         raise ValueError(f"missing keys in {name!r} block: {sorted(missing)}")
     return block
 
 
 def _build(cls, block, name: str, decoders: Mapping = {}, **given):
-    """Dataclass cls from one config block, decoded by decoders, plus the given
+    """Record cls from one config block, decoded by decoders, plus the given
     fields.  Its errors name the block, as block.key when about a key."""
     kwargs = {
         key: decoders[key](value, f"{name}.{key}") if key in decoders else value
@@ -571,7 +558,7 @@ def _cmd_snr(args, config: RunConfig) -> dict:
     return {
         "eta1": config.network.eta1,
         "eta_det2": config.network.eta_det2,
-        **asdict(result),
+        **result._asdict(),
     }
 
 
@@ -580,7 +567,7 @@ def _cmd_montecarlo(args, config: RunConfig) -> dict:
         raise ValueError("config has no 'simulation' block")
     sim = config.simulation
     if args.seed is not None:
-        sim = replace(sim, seed=args.seed)
+        sim = sim._replace(seed=args.seed)
     result = oracle_compare(sim, MC_ANGLES)
     report = {
         "seed": sim.seed,
@@ -681,9 +668,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SweepSettings)}
-        sweep = replace(config.sweep, **{k: v for k, v in flags.items() if v is not None})
-        result = args.func(args, replace(config, sweep=sweep))
+        flags = {name: getattr(args, name, None) for name in SweepSettings._fields}
+        sweep = config.sweep._replace(**{k: v for k, v in flags.items() if v is not None})
+        result = args.func(args, config._replace(sweep=sweep))
         trace = isinstance(result, (SweepTrace, _SweepColumns))
         fmt = args.format or ("csv" if trace else "json")
         if args.out:

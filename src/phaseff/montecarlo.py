@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .algebra import NoiseMode, _real, np
+from .algebra import NoiseMode, Record, _real, np
 from .network import NetworkParams, spectrum_from_modes
 
 MIN_SAMPLES = 2**14
@@ -34,13 +33,11 @@ _CHUNK = 2**18
 _TONE_BLOCK = 2**12
 
 
-@dataclass(frozen=True)
-class FlatKernel:
+class FlatKernel(Record):
     """Instantaneous feed-forward: correction = gain * photocurrent."""
 
 
-@dataclass(frozen=True)
-class BandpassKernel:
+class BandpassKernel(Record):
     """Causal second-order resonator with peak response `gain` at `center_hz`.
 
     Models feed-forward electronics that only act in a band around the
@@ -67,8 +64,7 @@ def _is_uint64(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(Record):
     """One Monte Carlo run.
 
     The optional coherent tone (signal_amplitude, signal_frequency) rides on
@@ -82,7 +78,7 @@ class SimConfig:
     duration: float
     signal_frequency: float = 0.0
     signal_amplitude: float = 0.0
-    kernel: Kernel = field(default_factory=FlatKernel)
+    kernel: Kernel = FlatKernel()
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -155,8 +151,7 @@ def _check_out(out, *inputs: np.ndarray) -> None:
             raise ValueError("out must be an input itself or share no memory with it")
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureStreams:
+class QuadratureStreams(Record, eq=False):
     """Output-beam quadrature time series, vacuum units: two streams of
     equal length."""
 
@@ -364,8 +359,7 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     return QuadratureStreams(amplitude=amplitude, phase=phase)
 
 
-@dataclass(frozen=True, eq=False)
-class PsdEstimate:
+class PsdEstimate(Record, eq=False):
     """Averaged periodogram with per-bin standard errors, vacuum units."""
 
     frequencies: np.ndarray
@@ -447,8 +441,7 @@ def band_average(
     return mean, se
 
 
-@dataclass(frozen=True)
-class OracleRow:
+class OracleRow(Record):
     """One angle's Monte Carlo / analytic comparison."""
 
     phi: float
@@ -459,8 +452,7 @@ class OracleRow:
     within_tolerance: bool
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     rows: tuple[OracleRow, ...]
     segment_count: int
     samples_per_run: int

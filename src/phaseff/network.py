@@ -14,13 +14,10 @@ where any phase signal lives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-from .algebra import NoiseMode, QuadratureExpansion, _real, linear_from_db, np
+from .algebra import NoiseMode, QuadratureExpansion, Record, _real, linear_from_db, np
 
 
-@dataclass(frozen=True)
-class NetworkParams:
+class NetworkParams(Record):
     """Physical settings of one feed-forward run.
 
     epsilon         beamsplitter transmissivity toward the modulator arm
@@ -61,7 +58,7 @@ class NetworkParams:
         return self.eta_h1 * self.eta_d1
 
     def with_gain(self, gain: complex) -> "NetworkParams":
-        return replace(self, gain=gain)
+        return self._replace(gain=gain)
 
 
 def _table(params: NetworkParams) -> list[list[complex]]:
@@ -277,9 +274,14 @@ def transfer_ratio(params: NetworkParams) -> float:
     The input signal sits on unit (vacuum) noise.  At the output it is
     boosted by the signal power gain and read against the feed-forward noise
     floor, i.e. the phase variance with v_phase_in pinned to 1, so the ratio
-    does not depend on the signal power or on v_phase_in.
+    does not depend on the signal power or on v_phase_in.  The floor is
+    phase_variance's mode sum with every variance 1, in its order.
     """
-    return signal_power_gain(params) / phase_variance(replace(params, v_phase_in=1.0))
+    weights = _phase_weights(params)
+    floor = 0.0
+    for weight in weights:
+        floor += weight
+    return weights[_INPUT_PHASE] / floor
 
 
 def max_transfer_ratio(epsilon: float, eta_h: float, eta_d: float) -> float:
@@ -315,16 +317,14 @@ def detected_variance(variance, eta: float):
     return _unwrap(eta * values + (1.0 - eta))
 
 
-@dataclass(frozen=True)
-class SnrInference:
+class SnrInference(Record):
     """One homodyne stage's SNR, as measured and corrected for its loss."""
 
     detected: float
     inferred: float
 
 
-@dataclass(frozen=True)
-class SnrReport:
+class SnrReport(Record):
     """SNR inference chain for an input/output measurement pair."""
 
     snr_detected_in: float

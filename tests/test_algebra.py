@@ -1,18 +1,37 @@
-"""Unit tests for the quadrature expansion algebra."""
+"""Unit tests for the quadrature expansion algebra and the record base."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import phaseff
 from phaseff import (
+    BandpassKernel,
+    FitResult,
+    FlatKernel,
+    NetworkParams,
     NoiseMode,
+    OracleReport,
+    OracleRow,
+    PsdEstimate,
     QuadratureExpansion,
+    QuadratureStreams,
+    RunConfig,
+    SimConfig,
+    SnrInference,
+    SnrReport,
+    SnrSettings,
     SourceVariances,
+    SweepSettings,
+    SweepTrace,
     db_from_linear,
     linear_from_db,
     variance_of,
 )
+from phaseff.algebra import Record
 
 A_IN = NoiseMode.INPUT_AMPLITUDE
 PHI_IN = NoiseMode.INPUT_PHASE
@@ -140,3 +159,171 @@ def test_db_roundtrip_identity(level_db):
 @given(st.floats(min_value=1e-3, max_value=1e3))
 def test_linear_roundtrip_identity(x):
     assert math.isclose(linear_from_db(db_from_linear(x)), x, rel_tol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Records against a reference @dataclass(frozen=True) with the same fields.
+# ---------------------------------------------------------------------------
+
+P = NetworkParams(0.2, 0.94, 0.91, 3.2 + 0j)
+ROW = OracleRow(0.0, 1.0, 0.1, 1.05, 0.5, True)
+
+# (record class, its fields in order, a (name, default) pair for a field with
+# a default, and arguments for its required fields that it stores unchanged)
+RECORDS = [
+    (QuadratureExpansion, ["coefficients"], ({PHI_IN: 1.5 + 0j},)),
+    (SourceVariances, ["variance"], ({PHI_IN: 2.0},)),
+    (
+        NetworkParams,
+        ["epsilon", "eta_h1", "eta_d1", "gain", ("v_phase_in", 1.0), ("eta_det2", 1.0)],
+        (0.2, 0.94, 0.91, 3.2 + 0j),
+    ),
+    (SnrInference, ["detected", "inferred"], (1.5, 2.5)),
+    (
+        SnrReport,
+        ["snr_detected_in", "snr_inferred_in", "snr_detected_out", "snr_inferred_out", "t_s"],
+        (1.0, 2.0, 3.0, 4.0, 0.9),
+    ),
+    (
+        SweepTrace,
+        ["phase", "variance_linear", "variance_db", ("detected", False)],
+        (np.array([0.0, 1.0]), np.array([2.0, 3.0]), np.array([3.0, 4.75])),
+    ),
+    (FitResult, ["k_fit", "residual_rms", "iterations"], (1.5, 1e-9, 30)),
+    (
+        SnrSettings,
+        ["input_total_db", "input_noise_db", "output_total_db", "output_noise_db"],
+        (10.0, 3.0, 12.0, 4.0),
+    ),
+    (SweepSettings, [("points", 361), ("formula", "paper"), ("detected", False)], ()),
+    (
+        RunConfig,
+        ["network", ("sweep", SweepSettings()), ("simulation", None), ("snr", None)],
+        (P,),
+    ),
+    (FlatKernel, [], ()),
+    (BandpassKernel, ["center_hz", "bandwidth_hz", "gain"], (1000.0, 100.0, 2.0)),
+    (
+        SimConfig,
+        [
+            "params",
+            "sample_rate",
+            "duration",
+            ("signal_frequency", 0.0),
+            ("signal_amplitude", 0.0),
+            ("kernel", FlatKernel()),
+            ("seed", 0),
+        ],
+        (P, 1e5, 1.0),
+    ),
+    (QuadratureStreams, ["amplitude", "phase"], (np.zeros(4), np.ones(4))),
+    (
+        PsdEstimate,
+        ["frequencies", "variance", "standard_error"],
+        (np.array([0.0, 1.0]), np.array([1.0, 1.0]), np.array([0.1, 0.1])),
+    ),
+    (
+        OracleRow,
+        ["phi", "mc_variance", "standard_error", "analytic_variance", "n_sigma", "within_tolerance"],
+        (0.0, 1.0, 0.1, 1.05, 0.5, True),
+    ),
+    (OracleReport, ["rows", "segment_count", "samples_per_run"], ((ROW,), 64, 2**18)),
+]
+
+# the records that compare and hash by identity, as dataclasses with eq=False
+IDENTITY = (SweepTrace, QuadratureStreams, PsdEstimate)
+
+
+def _names(fields):
+    return [f if isinstance(f, str) else f[0] for f in fields]
+
+
+@pytest.fixture(params=RECORDS, ids=lambda record: record[0].__name__)
+def record(request):
+    """The class, its reference dataclass, its field names and the values of
+    every field (the given arguments, then the defaults)."""
+    cls, fields, args = request.param
+    spec = [(f, object) if isinstance(f, str) else (f[0], object, f[1]) for f in fields]
+    reference = dataclasses.make_dataclass(
+        cls.__name__, spec, frozen=True, eq=cls not in IDENTITY
+    )
+    full = args + tuple(f[1] for f in fields if not isinstance(f, str))
+    return cls, reference, _names(fields), full
+
+
+def test_every_public_record_is_compared():
+    public = {getattr(phaseff, name) for name in phaseff.__all__}
+    records = {cls for cls in public if isinstance(cls, type) and issubclass(cls, Record)}
+    assert records == {cls for cls, _, _ in RECORDS}
+
+
+def test_record_fields_match_the_reference(record):
+    cls, reference, _, _ = record
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(cls(*record[3]))
+    got = [(f.name, f.default, f.default_factory) for f in dataclasses.fields(cls)]
+    assert got == [(f.name, f.default, f.default_factory) for f in dataclasses.fields(reference)]
+
+
+def test_record_repr_matches_the_reference(record):
+    cls, reference, _, full = record
+    assert repr(cls(*full)) == repr(reference(*full))
+
+
+def _hash(obj):
+    try:
+        return hash(obj)
+    except TypeError as exc:
+        return str(exc)
+
+
+def test_record_equality_and_hash_match_the_reference(record):
+    cls, reference, _, full = record
+    a, b, ra, rb = cls(*full), cls(*full), reference(*full), reference(*full)
+    assert a == a and ra == ra
+    assert (a == b) is (ra == rb) is (cls not in IDENTITY)
+    assert a != ra
+    if cls in IDENTITY:
+        assert hash(a) == object.__hash__(a) and hash(ra) == object.__hash__(ra)
+    else:
+        # both hash the tuple of field values, or both fail on an unhashable one
+        assert _hash(a) == _hash(ra)
+
+
+def test_record_takes_positional_and_keyword_arguments(record):
+    cls, _, names, full = record
+    positional, keyword = cls(*full), cls(**dict(zip(names, full)))
+    assert repr(positional) == repr(keyword)
+    half = len(full) // 2
+    assert repr(cls(*full[:half], **dict(zip(names[half:], full[half:])))) == repr(positional)
+
+
+def test_record_refuses_bad_arguments_like_the_reference(record):
+    cls, reference, names, full = record
+    calls = [((*full, 0.0), {}), (full, {"unknown": 0.0})]
+    if names:
+        calls.append((full, {names[0]: full[0]}))  # repeated
+    required = len(full) - len(cls._defaults)
+    if required:
+        calls.append((full[: required - 1], {}))  # missing
+    for args, kwargs in calls:
+        for build in (cls, reference):
+            with pytest.raises(TypeError):
+                build(*args, **kwargs)
+
+
+def test_record_is_frozen_like_the_reference(record):
+    cls, reference, names, full = record
+    name = names[0] if names else "anything"
+    for obj in (cls(*full), reference(*full)):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(obj, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(obj, name)
+
+
+def test_record_replace_and_asdict_round_trip(record):
+    cls, reference, names, full = record
+    obj = cls(*full)
+    assert repr(dataclasses.replace(obj)) == repr(obj._replace()) == repr(obj)
+    assert repr(dataclasses.asdict(obj)) == repr(dataclasses.asdict(reference(*full)))
+    assert obj._asdict().keys() == dataclasses.asdict(obj).keys()

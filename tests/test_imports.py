@@ -3,7 +3,9 @@
 a sweep of up to cli._SCALAR_SWEEP_MAX points, which evaluate their formulas
 on Python floats with math, nor for the library's scalar formulas;
 scipy.signal loads only when a bandpass kernel runs, and concurrent.futures
-only when a Monte Carlo run spans several chunks.
+only when a Monte Carlo run spans several chunks.  dataclasses (which loads
+inspect) loads only for a caller of its functions: phaseff's records are
+built on algebra.Record, which those functions still accept.
 
 Each check starts a fresh interpreter, since the test process itself has
 long since imported everything.
@@ -20,7 +22,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 EXAMPLE = os.path.join(ROOT, "configs", "example.json")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
-LAZY = ("numpy", "scipy.signal", "concurrent.futures")
+LAZY = ("numpy", "scipy.signal", "concurrent.futures", "dataclasses", "inspect")
 
 
 def _loaded(code: str, cwd) -> dict:
@@ -55,6 +57,25 @@ def test_import_phaseff_skips_scipy_signal(after_import):
 
 def test_import_phaseff_skips_concurrent_futures(after_import):
     assert not after_import["concurrent.futures"]
+
+
+def test_import_phaseff_skips_dataclasses_and_inspect(after_import):
+    assert not after_import["dataclasses"] and not after_import["inspect"]
+
+
+def test_asdict_of_an_snr_report_gives_its_fields(tmp_path):
+    # the call perfbench/workloads.py makes to check an snr op
+    code = (
+        "from dataclasses import asdict\n"
+        "from phaseff import NetworkParams, SnrSettings, report_snr\n"
+        "p = NetworkParams(epsilon=0.2, eta_h1=0.94, eta_d1=0.91, gain=3.2, eta_det2=0.8)\n"
+        "report = report_snr(SnrSettings(12.0, 4.0, 20.0, 6.0), p)\n"
+        "fields = ['snr_detected_in', 'snr_inferred_in', 'snr_detected_out',\n"
+        "          'snr_inferred_out', 't_s']\n"
+        "assert asdict(report) == {name: getattr(report, name) for name in fields}\n"
+        "assert list(asdict(report)) == fields\n"
+    )
+    assert _loaded(code, tmp_path)["dataclasses"]
 
 
 README_COMMANDS = [
@@ -142,6 +163,11 @@ def test_scalar_commands_match_golden_files(scalar_run, name):
 def test_scalar_commands_skip_numpy(scalar_run):
     loaded, _ = scalar_run
     assert not loaded["numpy"]
+
+
+def test_scalar_commands_skip_dataclasses_and_inspect(scalar_run):
+    loaded, _ = scalar_run
+    assert not loaded["dataclasses"] and not loaded["inspect"]
 
 
 def test_scalar_formulas_skip_numpy(tmp_path):
