@@ -14,6 +14,7 @@ where any phase signal lives.
 from __future__ import annotations
 
 import math
+
 from .algebra import NoiseMode, QuadratureExpansion, Record, _real, linear_from_db, np
 
 
@@ -278,6 +279,7 @@ def transfer_ratio(params: NetworkParams) -> float:
     phase_variance's mode sum with every variance 1, in its order.
     """
     weights = _phase_weights(params)
+    # left to right, as phase_variance adds: sum() compensates from Python 3.12
     floor = 0.0
     for weight in weights:
         floor += weight

@@ -258,8 +258,8 @@ def test_every_public_record_is_compared():
 
 
 def test_record_fields_match_the_reference(record):
-    cls, reference, _, _ = record
-    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(cls(*record[3]))
+    cls, reference, _, full = record
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(cls(*full))
     got = [(f.name, f.default, f.default_factory) for f in dataclasses.fields(cls)]
     assert got == [(f.name, f.default, f.default_factory) for f in dataclasses.fields(reference)]
 
