@@ -10,7 +10,6 @@ floats at 12 significant digits, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -390,7 +389,10 @@ def emit(obj, path: str, fmt: str) -> None:
 
 def load_trace_csv(path: str, detected: bool = False) -> SweepTrace:
     """Read back a sweep trace written by emit (or any file with the same
-    three-column layout)."""
+    three-column layout).  csv is imported here, its only user, so the
+    other subcommands do not load it."""
+    import csv
+
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)

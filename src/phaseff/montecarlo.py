@@ -29,8 +29,9 @@ _MODE_ORDER = tuple(NoiseMode)
 # the realization does not depend on how chunks are scheduled over threads.
 _CHUNK = 2**18
 
-# Samples per block of a coherent tone's time axis (32 kB of float64).
-_TONE_BLOCK = 2**12
+# Samples per block of a noise mode's draw (256 kB of float64, so a block
+# stays in L2 while it is folded into a chunk's sums).
+_BLOCK = 2**15
 
 
 class FlatKernel(Record):
@@ -255,59 +256,68 @@ def _chunk_streams(
 
     The seven modes are unit-variance white series drawn one at a time, in
     _MODE_ORDER, from the Philox substream at counter `chunk`: the stream
-    positions of one (7, length) draw.  Each mode is folded into the sums as
-    it arrives, term by term from the left, so the bits are those of the
-    three expressions over a whole draw block.  A chunk holds two scratch
-    rows besides its outputs.  On the worker threads the allocator keeps a
-    chunk's peak for reuse, so this bounds what the threads add to the
-    process's peak memory.
+    positions of one (7, length) draw.  Each mode is drawn _BLOCK samples at
+    a time and each block is folded into the sums as it arrives, term by
+    term from the left, so the bits are those of the three expressions over
+    a whole draw block.  Only detector_vacuum_1 is held whole, until
+    detector_vacuum_2 arrives a row later, so a chunk holds one scratch row
+    and two blocks besides its outputs.  On the worker threads the allocator
+    keeps a chunk's peak for reuse, so this bounds what the threads add to
+    the process's peak memory.
     """
     p = config.params
     eps = p.epsilon
     eh, ed = p.eta_h1, p.eta_d1
     transmitted, tapped = math.sqrt(eps), math.sqrt(1.0 - eps)
     start = chunk * _CHUNK
-    stop = min(start + _CHUNK, config.n_samples)
-    amplitude, photocurrent, phase = out or [np.empty(stop - start) for _ in range(3)]
-    row, other = np.empty(stop - start), np.empty(stop - start)
+    n = min(start + _CHUNK, config.n_samples) - start
+    amplitude, photocurrent, phase = out or [np.empty(n) for _ in range(3)]
+    block, other = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
     rng = _substream(config.seed, trial, chunk)
     modes = iter(_MODE_ORDER)
 
-    def draw(mode: NoiseMode, into: np.ndarray) -> np.ndarray:
+    def draw(mode: NoiseMode):
+        """Yield (part, samples): the mode's next block, drawn into `block`."""
         assert next(modes) is mode, "each draw takes the next mode's stream positions"
-        return rng.standard_normal(out=into)
+        for lo in range(0, n, _BLOCK):
+            part = slice(lo, lo + _BLOCK)
+            yield part, rng.standard_normal(out=block[: min(_BLOCK, n - lo)])
 
-    np.multiply(transmitted, draw(NoiseMode.INPUT_AMPLITUDE, row), out=amplitude)
+    for part, a in draw(NoiseMode.INPUT_AMPLITUDE):
+        np.multiply(transmitted, a, out=amplitude[part])
 
-    x = draw(NoiseMode.INPUT_PHASE, row)
-    x *= math.sqrt(p.v_phase_in)
-    if config.signal_amplitude > 0.0:
-        # the run's sample indices as floats, a block at a time, so no index
-        # array the chunk's length is made; each is below 2^53, so exact
-        for lo in range(0, stop - start, _TONE_BLOCK):
-            block = other[lo : lo + _TONE_BLOCK]
-            block[...] = np.arange(start + lo, start + lo + block.size, dtype=float)
-        tone = np.divide(other, config.sample_rate, out=other)
-        tone *= 2.0 * math.pi * config.signal_frequency
-        np.sin(tone, out=tone)
-        tone *= config.signal_amplitude
-        x += tone
-    np.multiply(math.sqrt(eh * ed * (1.0 - eps)), x, out=photocurrent)
-    np.multiply(transmitted, x, out=phase)
+    for part, x in draw(NoiseMode.INPUT_PHASE):
+        x *= math.sqrt(p.v_phase_in)
+        if config.signal_amplitude > 0.0:
+            # the run's sample indices as floats, each below 2^53, so exact
+            tone = other[: x.size]
+            tone[...] = np.arange(start + part.start, start + part.start + x.size, dtype=float)
+            tone /= config.sample_rate
+            tone *= 2.0 * math.pi * config.signal_frequency
+            np.sin(tone, out=tone)
+            tone *= config.signal_amplitude
+            x += tone
+        np.multiply(math.sqrt(eh * ed * (1.0 - eps)), x, out=photocurrent[part])
+        np.multiply(transmitted, x, out=phase[part])
 
-    amplitude -= np.multiply(tapped, draw(NoiseMode.TAP_VACUUM_AMPLITUDE, row), out=row)
+    for part, a in draw(NoiseMode.TAP_VACUUM_AMPLITUDE):
+        amplitude[part] -= np.multiply(tapped, a, out=a)
 
-    tap_phase = draw(NoiseMode.TAP_VACUUM_PHASE, row)
-    photocurrent += np.multiply(math.sqrt(ed * eh * eps), tap_phase, out=other)
-    phase -= np.multiply(tapped, tap_phase, out=row)
+    for part, tap_phase in draw(NoiseMode.TAP_VACUUM_PHASE):
+        photocurrent[part] += np.multiply(
+            math.sqrt(ed * eh * eps), tap_phase, out=other[: tap_phase.size]
+        )
+        phase[part] -= np.multiply(tapped, tap_phase, out=tap_phase)
 
-    photocurrent += np.multiply(
-        math.sqrt(ed * (1.0 - eh)), draw(NoiseMode.HOMODYNE_MISMATCH_PHASE, row), out=row
-    )
+    for part, mismatch in draw(NoiseMode.HOMODYNE_MISMATCH_PHASE):
+        photocurrent[part] += np.multiply(math.sqrt(ed * (1.0 - eh)), mismatch, out=mismatch)
 
-    detectors = draw(NoiseMode.DETECTOR_VACUUM_1, row)
-    detectors += draw(NoiseMode.DETECTOR_VACUUM_2, other)
-    photocurrent += np.multiply(math.sqrt((1.0 - ed) / 2.0), detectors, out=row)
+    detectors = np.empty(n)
+    for part, d1 in draw(NoiseMode.DETECTOR_VACUUM_1):
+        detectors[part] = d1
+    for part, d2 in draw(NoiseMode.DETECTOR_VACUUM_2):
+        both = np.add(detectors[part], d2, out=d2)
+        photocurrent[part] += np.multiply(math.sqrt((1.0 - ed) / 2.0), both, out=both)
     return amplitude, photocurrent, phase
 
 

@@ -5,7 +5,8 @@ on Python floats with math, nor for the library's scalar formulas;
 scipy.signal loads only when a bandpass kernel runs, and concurrent.futures
 only when a Monte Carlo run spans several chunks.  dataclasses (which loads
 inspect) loads only for a caller of its functions: phaseff's records are
-built on algebra.Record, which those functions still accept.
+built on algebra.Record, which those functions still accept.  csv loads only
+for fit, which reads a trace with it; CSV output is written by hand.
 
 Each check starts a fresh interpreter, since the test process itself has
 long since imported everything.
@@ -22,7 +23,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 EXAMPLE = os.path.join(ROOT, "configs", "example.json")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
-LAZY = ("numpy", "scipy.signal", "concurrent.futures", "dataclasses", "inspect")
+LAZY = ("numpy", "scipy.signal", "concurrent.futures", "dataclasses", "inspect", "csv")
 
 
 def _loaded(code: str, cwd) -> dict:
@@ -61,6 +62,10 @@ def test_import_phaseff_skips_concurrent_futures(after_import):
 
 def test_import_phaseff_skips_dataclasses_and_inspect(after_import):
     assert not after_import["dataclasses"] and not after_import["inspect"]
+
+
+def test_import_phaseff_skips_csv(after_import):
+    assert not after_import["csv"]
 
 
 def test_asdict_of_an_snr_report_gives_its_fields(tmp_path):
@@ -168,6 +173,22 @@ def test_scalar_commands_skip_numpy(scalar_run):
 def test_scalar_commands_skip_dataclasses_and_inspect(scalar_run):
     loaded, _ = scalar_run
     assert not loaded["dataclasses"] and not loaded["inspect"]
+
+
+def test_scalar_commands_skip_csv(scalar_run):
+    loaded, _ = scalar_run
+    assert not loaded["csv"]
+
+
+def test_fit_loads_csv(tmp_path):
+    trace = os.path.join(GOLDEN, "sweep.csv")
+    code = (
+        "import contextlib, io\n"
+        "from phaseff.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main(['fit', {trace!r}, '--config', {EXAMPLE!r}, '--detected']) == 0\n"
+    )
+    assert _loaded(code, tmp_path)["csv"]
 
 
 def test_scalar_formulas_skip_numpy(tmp_path):

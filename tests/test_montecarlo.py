@@ -525,6 +525,51 @@ class TestChunks:
             tracemalloc.stop()
         assert peak / _CHUNK <= 20.0
 
+    @pytest.mark.parametrize("block", [1000, 4097, _CHUNK])
+    def test_chunk_streams_do_not_depend_on_the_block_size(self, monkeypatch, block):
+        # consecutive draws into blocks continue the substream, so any block
+        # size, a whole row at a time included, gives the same bits; here on
+        # a partial last chunk that is no whole number of blocks, with a tone
+        cfg = chunked_config("tone", n_samples=2 * _CHUNK + 3 * montecarlo._BLOCK + 77)
+        want = montecarlo._chunk_streams(cfg, 4, 2)
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        got = montecarlo._chunk_streams(cfg, 4, 2)
+        for name, g, w in zip(("amplitude", "photocurrent", "phase"), got, want):
+            assert np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("name", ["flat", "tone"])
+    def test_chunk_streams_hold_one_row_and_two_blocks(self, monkeypatch, name):
+        # besides its outputs a chunk holds the first detector vacuum's row
+        # (8 B per sample) and two draw blocks (2 more); two scratch rows took 16
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        cfg = chunked_config(name)
+        out = tuple(np.empty(_CHUNK) for _ in range(3))
+        untimed_draw()
+        tracemalloc.start()
+        try:
+            montecarlo._chunk_streams(cfg, 0, 1, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / _CHUNK <= 11.0
+
+    def test_one_chunk_oracle_holds_one_scratch_row(self, monkeypatch):
+        # the one-chunk three-angle run below, with one scratch row and two
+        # draw blocks in place of two scratch rows: 6 B per sample less
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        cfg = SimConfig(
+            params=make_params(eta_h=0.9, eta_d=0.8, gain=2.0), sample_rate=FS,
+            duration=_CHUNK / FS, seed=3,
+        )
+        untimed_draw()
+        tracemalloc.start()
+        try:
+            oracle_compare(cfg, [0.0, 0.7, math.pi / 2.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / _CHUNK <= 36.0
+
     def test_one_chunk_oracle_peak_memory_per_sample(self, monkeypatch):
         # a one-chunk run on one CPU: the projected series (8 B per sample),
         # the chunk's photocurrent and phase (16), two scratch rows (16) and

@@ -30,6 +30,7 @@ from phaseff import (
     transfer_ratio,
     variance_of,
 )
+from phaseff import montecarlo
 from phaseff.montecarlo import _CHUNK, MIN_SAMPLES, _substream
 from phaseff.network import _table
 
@@ -359,6 +360,74 @@ class TestScalarPathBits:
         want = _array_closed_form(p, angles)
         assert spectrum_closed_form(p, angles).tobytes() == want.tobytes()
         assert [spectrum_closed_form(p, phi) for phi in EDGE_ANGLES] == want.tolist()
+
+
+class _OneModeStream:
+    """Stands in for a chunk's Philox substream: the stream positions of
+    mode j's row of a (7, length) draw read 1.0 and every other position
+    0.0.  It counts the samples drawn, so it serves draws of any size, into
+    `out` or new."""
+
+    def __init__(self, j, length):
+        self.row = (j * length, (j + 1) * length)
+        self.drawn = 0
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        positions = np.arange(self.drawn, self.drawn + out.size)
+        out[...] = (positions >= self.row[0]) & (positions < self.row[1])
+        self.drawn += out.size
+        return out
+
+
+# the signal flow and the table each round a handful of times: 4 ulp of the
+# terms' magnitudes, fixed before the first run
+SIGNAL_FLOW_ULPS = 4
+
+
+def _random_networks(count=200):
+    rng = random.Random(1701)
+    return [
+        params_like(
+            rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0),
+            rng.uniform(-10.0, 10.0), rng.uniform(1.0, 50.0),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestSignalFlow:
+    """The Monte Carlo's signal flow against the table with no sampling
+    error: a unit sample in one mode alone must come out as that mode's
+    column, scaled by the mode's standard deviation."""
+
+    N = 40_000  # one chunk, not a whole number of draw blocks
+
+    def _check(self, monkeypatch, p):
+        config = SimConfig(params=p, sample_rate=float(self.N), duration=1.0)
+        table = _table(p)
+        for j, mode in enumerate(NoiseMode):
+            monkeypatch.setattr(
+                montecarlo, "_substream", lambda seed, trial, chunk=0: _OneModeStream(j, self.N)
+            )
+            amplitude, photocurrent, phase = montecarlo._chunk_streams(config, 0, 0)
+            scale = math.sqrt(p.v_phase_in) if mode is NoiseMode.INPUT_PHASE else 1.0
+            corrected = phase + p.gain * photocurrent
+            terms = np.abs(phase) + abs(p.gain) * np.abs(photocurrent)
+            for got, want, size in (
+                (amplitude, table[0][j] * scale, np.abs(amplitude)),
+                (corrected, table[1][j] * scale, terms),
+            ):
+                bound = SIGNAL_FLOW_ULPS * np.finfo(float).eps * np.maximum(size, abs(want))
+                assert np.all(np.abs(got - want) <= bound), (mode, want, got[:3])
+
+    @pytest.mark.parametrize("p", OPERATING_POINTS)
+    def test_unit_mode_is_its_column(self, monkeypatch, p):
+        self._check(monkeypatch, p)
+
+    def test_unit_mode_is_its_column_on_random_networks(self, monkeypatch):
+        for p in _random_networks():
+            self._check(monkeypatch, p)
 
 
 class TestOutputExpansion:
