@@ -345,7 +345,7 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     into its slices of the three streams, runs the photocurrent through the
     kernel in place, and applies the correction to the transmitted beam's
     phase quadrature.  Besides the streams, each filling thread holds its
-    chunk's two scratch rows.
+    chunk's scratch row and two draw blocks.
 
     Chunk k of _CHUNK = 2^18 samples comes from the Philox substream keyed on
     (seed, trial) at counter k, and the chunks are filled on every usable
@@ -488,7 +488,8 @@ def oracle_compare(
     angle chunk by chunk on every usable CPU, so the whole streams are never
     held: a chunk's amplitude is written into the projected series and
     projected over in place, so each thread holds the chunk's photocurrent
-    and phase and _chunk_streams' two scratch rows.  The rows equal those of
+    and phase and _chunk_streams' scratch row and two draw blocks.  The
+    rows equal those of
     estimate_psd(simulate_streams(config, trial).at_angle(phi)) bit for bit.
     """
     if not isinstance(config.kernel, FlatKernel):
