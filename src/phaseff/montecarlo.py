@@ -9,6 +9,7 @@ adds a^2 * m / 4 to that bin.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from typing import Sequence, Union
@@ -60,6 +61,73 @@ class BandpassKernel(Record):
 Kernel = Union[FlatKernel, BandpassKernel]
 
 
+def _sample_rate(value) -> float:
+    """A sample rate as a float, once it is a number > 0."""
+    rate = _real("sample_rate", value)
+    if not rate > 0.0:
+        raise ValueError(f"sample_rate must be > 0, got {value!r}")
+    return rate
+
+
+def _resonator_domain(kernel: BandpassKernel, sample_rate) -> float:
+    """The sample rate as a float, once the resonator is stable at it: its
+    centre and its bandwidth both below Nyquist."""
+    rate = _sample_rate(sample_rate)
+    for name in ("center_hz", "bandwidth_hz"):
+        value = getattr(kernel, name)
+        if not value < rate / 2.0:
+            raise ValueError(f"{name} {value} Hz is at or above Nyquist ({rate / 2.0} Hz)")
+    return rate
+
+
+def _peak_coefficients(kernel: BandpassKernel, sample_rate) -> tuple[np.ndarray, np.ndarray]:
+    """The resonator's (b, a) at sample_rate, refused outside its domain.
+
+    The closed form of scipy's iirpeak(center_hz, center_hz / bandwidth_hz,
+    fs=sample_rate), the -3 dB peak filter of Orfanidis, Introduction to
+    Signal Processing, eqs. 11.3.19, 11.3.6 and 11.3.21, in iirpeak's order
+    of operations, so the coefficients have its bits.
+    """
+    w0 = 2 * float(kernel.center_hz) / _resonator_domain(kernel, sample_rate)
+    bw = w0 / float(kernel.center_hz / kernel.bandwidth_hz) * math.pi
+    w0 = w0 * math.pi
+    gain = 1.0 / (1.0 + math.tan(bw / 2.0))
+    b = (1.0 - gain) * np.array([1.0, 0.0, -1.0])
+    a = np.array([1.0, -2.0 * gain * math.cos(w0), 2.0 * gain - 1.0])
+    return b, a
+
+
+@functools.cache
+def _linear_filter():
+    """scipy's compiled IIR recursion, the call scipy.signal.lfilter makes.
+
+    Its extension module is loaded by file from scipy's install directory,
+    once per process, so neither scipy's nor scipy.signal's __init__ runs
+    (scipy.signal pulls in scipy.stats, interpolate and optimize).  A scipy
+    without the module fails here, on the first bandpass use, with an error
+    that names it.
+    """
+    from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+    from importlib.util import find_spec, module_from_spec, spec_from_loader
+
+    name = "scipy.signal._sigtools"
+    scipy = find_spec("scipy")
+    paths = [
+        os.path.join(root, "signal", "_sigtools" + suffix)
+        for root in (scipy.submodule_search_locations if scipy else ())
+        for suffix in EXTENSION_SUFFIXES
+    ]
+    path = next((path for path in paths if os.path.isfile(path)), None)
+    if path is None:
+        raise ImportError(f"the bandpass kernel needs scipy's compiled {name}: not found")
+    loader = ExtensionFileLoader(name, path)
+    module = module_from_spec(spec_from_loader(name, loader))
+    loader.exec_module(module)
+    if not hasattr(module, "_linear_filter"):
+        raise ImportError(f"the bandpass kernel needs {name}._linear_filter: {path} has none")
+    return module._linear_filter
+
+
 def _is_uint64(value) -> bool:
     """A Philox key word: an int (not a bool) in [0, 2^64)."""
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
@@ -83,8 +151,7 @@ class SimConfig(Record):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not _real("sample_rate", self.sample_rate) > 0.0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate!r}")
+        _sample_rate(self.sample_rate)
         if not _real("duration", self.duration) > 0.0:
             raise ValueError(f"duration must be > 0, got {self.duration!r}")
         if not _real("signal_frequency", self.signal_frequency) >= 0.0:
@@ -102,10 +169,8 @@ class SimConfig(Record):
             )
         if not isinstance(self.kernel, (FlatKernel, BandpassKernel)):
             raise ValueError(f"unknown kernel type {type(self.kernel).__name__}")
-        if isinstance(self.kernel, BandpassKernel) and (
-            self.kernel.center_hz >= self.sample_rate / 2.0
-        ):
-            raise ValueError("bandpass center must lie below Nyquist")
+        if isinstance(self.kernel, BandpassKernel):
+            _resonator_domain(self.kernel, self.sample_rate)
         if not _is_uint64(self.seed):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
 
@@ -197,13 +262,16 @@ def apply_kernel(
     """Feed-forward electronics acting on the photocurrent stream.
 
     The flat kernel is a pure scale by the network gain, which must be real.
-    The bandpass kernel is a causal IIR resonator (scipy's peak filter), so
-    its output at sample n depends only on samples <= n.  It runs a chunk of
-    _CHUNK samples at a time and carries the resonator state from chunk to
-    chunk, so it holds one chunk's output besides the result and gives the
-    bits of one whole-array filter call.  scipy is needed only for the bandpass kernel:
-    scipy.signal is imported on its first use, so importing phaseff and
-    flat-kernel runs load numpy alone.
+    The bandpass kernel is a causal IIR resonator, so its output at sample n
+    depends only on samples <= n.  Its coefficients are _peak_coefficients'
+    closed form, with the bits of scipy's iirpeak; sample_rate must put its
+    centre and bandwidth below Nyquist.  It runs a chunk of _CHUNK samples
+    at a time through scipy's compiled filter, the recursion lfilter calls,
+    and carries the resonator state from chunk to chunk, so it holds one
+    chunk's output besides the result and gives the bits of one whole-array
+    lfilter call.  Only that compiled extension is loaded, on the kernel's
+    first use: neither scipy nor scipy.signal is imported, and importing
+    phaseff and flat-kernel runs load numpy alone.
 
     The result is written into `out` (a stream of the photocurrent's
     length, which may be the photocurrent itself) if given, else into a new
@@ -217,16 +285,14 @@ def apply_kernel(
             raise ValueError("flat kernel needs a real gain")
         return np.multiply(params.gain.real, photocurrent, out=out)
     if isinstance(kernel, BandpassKernel):
-        from scipy import signal
-
-        q_factor = kernel.center_hz / kernel.bandwidth_hz
-        b, a = signal.iirpeak(kernel.center_hz, q_factor, fs=sample_rate)
+        b, a = _peak_coefficients(kernel, sample_rate)
+        linear_filter = _linear_filter()
         if out is None:
             out = np.empty_like(photocurrent)
         state = np.zeros(max(len(a), len(b)) - 1)
         for start in range(0, photocurrent.size, _CHUNK):
             part = slice(start, start + _CHUNK)
-            block, state = signal.lfilter(b, a, photocurrent[part], zi=state)
+            block, state = linear_filter(b, a, photocurrent[part], -1, state)
             np.multiply(kernel.gain, block, out=out[part])
         return out
     raise TypeError(f"unknown kernel type {type(kernel).__name__}")
@@ -392,8 +458,7 @@ def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEsti
     _stream("series", series)
     if not (isinstance(segment_count, int) and segment_count >= 8):
         raise ValueError(f"segment_count must be an integer >= 8, got {segment_count!r}")
-    if not _real("sample_rate", sample_rate) > 0.0:
-        raise ValueError(f"sample_rate must be > 0, got {sample_rate!r}")
+    _sample_rate(sample_rate)
     seg_len = series.size // segment_count
     if seg_len < 1024:
         raise ValueError(

@@ -136,7 +136,7 @@ def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
         ("duration", 0.0, "error: simulation.duration must be > 0, got 0.0\n"),
         ("sample_rate", "1e5", "error: simulation.sample_rate must be a number, got '1e5'\n"),
         ("kernel", {"type": "bandpass", "center_hz": 1e5, "bandwidth_hz": 10.0, "gain": 1.0},
-         "error: simulation: bandpass center must lie below Nyquist\n"),
+         "error: simulation: center_hz 100000.0 Hz is at or above Nyquist (32768.0 Hz)\n"),
     ],
     ids=["duration-zero", "sample-rate-string", "kernel-above-nyquist"],
 )

@@ -32,6 +32,7 @@ from phaseff import (
     oracle_compare,
     pia_transfer_ratio,
     run_sweep,
+    simulate_streams,
     spectrum_closed_form,
     spectrum_from_modes,
 )
@@ -91,6 +92,7 @@ NUMBER_FIELDS = [
     ("SimConfig.signal_frequency", simulation("signal_frequency"), "signal_frequency"),
     ("SimConfig.signal_amplitude", simulation("signal_amplitude"), "signal_amplitude"),
     ("estimate_psd", lambda x: estimate_psd(np.zeros(2**16), x), "sample_rate"),
+    ("apply_kernel.sample_rate", lambda x: bandpass(np.zeros(16), sample_rate=x), "sample_rate"),
     ("band_average.exclude_hz", lambda x: band_average(PSD, x, 2.0), "exclude_hz"),
     ("band_average.exclude_width_hz", lambda x: band_average(PSD, 100.0, x), "exclude_width_hz"),
     ("SnrSettings.input_total_db", levels("input_total_db"), "input_total_db"),
@@ -278,8 +280,9 @@ def flat(photocurrent, out=None):
     return apply_kernel(FlatKernel(), photocurrent, P, 65536.0, out=out)
 
 
-def bandpass(photocurrent, out=None):
-    return apply_kernel(BandpassKernel(**KERNEL), photocurrent, P, 65536.0, out=out)
+def bandpass(photocurrent, out=None, sample_rate=65536.0, **kernel):
+    kern = BandpassKernel(**{**KERNEL, **kernel})
+    return apply_kernel(kern, photocurrent, P, sample_rate, out=out)
 
 
 def projection(amplitude, out):
@@ -331,6 +334,50 @@ STREAM_FIELDS = [
 def test_stream_field_rejects_other_shapes(call, name):
     with pytest.raises(ValueError, match=rf"^{name} "):
         call()
+
+
+# (case id, bandpass kernel fields and sample rate, the name its error must
+# give).  The resonator is stable only with its centre and its width below
+# Nyquist: a width of 1e9 Hz at 65,536 Hz gave outputs of -3.6, -32, -232.
+RESONATOR_DOMAIN = [
+    ("sample-rate-zero", {"sample_rate": 0.0}, "sample_rate"),
+    ("sample-rate-negative", {"sample_rate": -65536.0}, "sample_rate"),
+    ("center-at-nyquist", {"center_hz": 32768.0}, "center_hz"),
+    ("center-above-nyquist", {"center_hz": 1e5}, "center_hz"),
+    ("center-above-low-rate", {"sample_rate": 1024.0}, "center_hz"),
+    ("bandwidth-at-nyquist", {"bandwidth_hz": 32768.0}, "bandwidth_hz"),
+    ("bandwidth-huge", {"bandwidth_hz": 1e9}, "bandwidth_hz"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, name", [case[1:] for case in RESONATOR_DOMAIN], ids=[case[0] for case in RESONATOR_DOMAIN]
+)
+def test_bandpass_kernel_refuses_unstable_resonator(fields, name):
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        bandpass(np.zeros(16), **fields)
+
+
+@pytest.mark.parametrize(
+    "fields, name", [case[1:] for case in RESONATOR_DOMAIN], ids=[case[0] for case in RESONATOR_DOMAIN]
+)
+def test_sim_config_refuses_unstable_resonator(monkeypatch, fields, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("noise drawn before the kernel was checked")
+
+    monkeypatch.setattr(montecarlo, "_substream", refuse)
+    kernel = {key: value for key, value in fields.items() if key != "sample_rate"}
+    rate = fields.get("sample_rate", SIM["sample_rate"])
+    # 2^16 samples at any positive rate, so the run is long enough
+    sim = {**SIM, "sample_rate": rate, "duration": 2**16 / rate if rate > 0.0 else 1.0}
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        simulate_streams(SimConfig(**sim, kernel=BandpassKernel(**{**KERNEL, **kernel})))
+
+
+def test_resonator_domain_reaches_nyquist():
+    # just below Nyquist, centre and width both pass
+    out = bandpass(np.zeros(16), center_hz=32767.0, bandwidth_hz=32767.0)
+    assert np.array_equal(out, np.zeros(16))
 
 
 class TestOracleAngles:

@@ -2,8 +2,9 @@
 `import phaseff` nor for the optimize, snr and spectrum subcommands, nor for
 a sweep of up to cli._SCALAR_SWEEP_MAX points, which evaluate their formulas
 on Python floats with math, nor for the library's scalar formulas;
-scipy.signal loads only when a bandpass kernel runs, and concurrent.futures
-only when a Monte Carlo run spans several chunks.  dataclasses (which loads
+neither scipy nor scipy.signal loads at all: a bandpass kernel loads only
+scipy's compiled filter module, by file, and concurrent.futures loads only
+when a Monte Carlo run spans several chunks.  dataclasses (which loads
 inspect) loads only for a caller of its functions: phaseff's records are
 built on algebra.Record, which those functions still accept.  csv loads only
 for fit, which reads a trace with it; CSV output is written by hand.
@@ -23,7 +24,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 EXAMPLE = os.path.join(ROOT, "configs", "example.json")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
-LAZY = ("numpy", "scipy.signal", "concurrent.futures", "dataclasses", "inspect", "csv")
+LAZY = (
+    "numpy", "scipy", "scipy.signal", "scipy.signal._sigtools", "concurrent.futures",
+    "dataclasses", "inspect", "csv",
+)
 
 
 def _loaded(code: str, cwd) -> dict:
@@ -54,6 +58,10 @@ def test_import_phaseff_skips_numpy(after_import):
 
 def test_import_phaseff_skips_scipy_signal(after_import):
     assert not after_import["scipy.signal"]
+
+
+def test_import_phaseff_skips_scipy(after_import):
+    assert not after_import["scipy"] and not after_import["scipy.signal._sigtools"]
 
 
 def test_import_phaseff_skips_concurrent_futures(after_import):
@@ -110,7 +118,9 @@ def test_cli_commands_skip_concurrent_futures(after_cli):
     assert not after_cli["concurrent.futures"]
 
 
-def test_bandpass_kernel_loads_scipy_signal(tmp_path):
+def test_bandpass_kernel_skips_scipy_signal(tmp_path):
+    # the kernel loads scipy's compiled filter module by file: neither
+    # scipy's nor scipy.signal's __init__ runs
     code = (
         "import numpy as np\n"
         "from phaseff import BandpassKernel, NetworkParams, apply_kernel\n"
@@ -118,7 +128,9 @@ def test_bandpass_kernel_loads_scipy_signal(tmp_path):
         "k = BandpassKernel(center_hz=1000.0, bandwidth_hz=100.0, gain=1.0)\n"
         "apply_kernel(k, np.zeros(64), p, 8192.0)\n"
     )
-    assert _loaded(code, tmp_path)["scipy.signal"]
+    loaded = _loaded(code, tmp_path)
+    assert loaded["scipy.signal._sigtools"]
+    assert not loaded["scipy"] and not loaded["scipy.signal"]
 
 
 # the scalar subcommands, each rendered to its golden files: optimize and snr

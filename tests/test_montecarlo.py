@@ -269,6 +269,24 @@ class TestKernels:
         assert apply_kernel(kern, x, make_params(), CHUNK_FS, out=x) is x
         assert np.array_equal(x, want)
 
+    def test_peak_coefficients_are_iirpeak(self):
+        # the closed form has iirpeak's bits across the resonator's domain:
+        # the kernels the tests and the benchmark run, then seeded draws with
+        # log-uniform rates and the centre and width anywhere below Nyquist
+        from scipy import signal
+
+        rng = np.random.default_rng(1998)
+        cases = [(1000.0, 200.0, CHUNK_FS), (5000.0, 500.0, FS), (1000.0, 10.0, 262144.0)]
+        for fs in 10.0 ** rng.uniform(1.0, 8.0, 400):
+            center, width = fs / 2.0 * rng.uniform(1e-9, 1.0 - 1e-9, 2)
+            cases.append((float(center), float(width), float(fs)))
+        for center, width, fs in cases:
+            kern = BandpassKernel(center_hz=center, bandwidth_hz=width, gain=1.0)
+            got = montecarlo._peak_coefficients(kern, fs)
+            want = signal.iirpeak(center, center / width, fs=fs)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (center, width, fs)
+
     @pytest.mark.parametrize(
         "kern", [FlatKernel(), BandpassKernel(center_hz=1000.0, bandwidth_hz=200.0, gain=2.5)]
     )
@@ -608,8 +626,6 @@ class TestChunks:
         # one CPU holds the three streams (24 B per sample) and one chunk's
         # two scratch rows; one chunk's whole draw block took 3.5 more, and a
         # whole-stream filter output 8 more before that
-        import scipy.signal  # imported before tracing starts
-
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
         n = 2**22
         kern = BandpassKernel(center_hz=5000.0, bandwidth_hz=500.0, gain=2.0)
@@ -618,6 +634,7 @@ class TestChunks:
             kernel=kern, seed=3,
         )
         untimed_draw()
+        apply_kernel(kern, np.zeros(64), cfg.params, FS)  # loads the filter before tracing
         tracemalloc.start()
         try:
             simulate_streams(cfg)
