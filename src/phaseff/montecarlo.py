@@ -105,12 +105,18 @@ def _linear_filter():
     once per process, so neither scipy's nor scipy.signal's __init__ runs
     (scipy.signal pulls in scipy.stats, interpolate and optimize).  A scipy
     without the module fails here, on the first bandpass use, with an error
-    that names it.
+    that names it.  The module registers itself in sys.modules as it loads;
+    that entry is dropped again, so a later `from scipy import signal`
+    imports it as usual and binds signal._sigtools.  Where scipy.signal has
+    already imported the module, that one is used.
     """
+    import sys
     from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
     from importlib.util import find_spec, module_from_spec, spec_from_loader
 
     name = "scipy.signal._sigtools"
+    if name in sys.modules:
+        return sys.modules[name]._linear_filter
     scipy = find_spec("scipy")
     paths = [
         os.path.join(root, "signal", "_sigtools" + suffix)
@@ -123,6 +129,7 @@ def _linear_filter():
     loader = ExtensionFileLoader(name, path)
     module = module_from_spec(spec_from_loader(name, loader))
     loader.exec_module(module)
+    sys.modules.pop(name, None)
     if not hasattr(module, "_linear_filter"):
         raise ImportError(f"the bandpass kernel needs {name}._linear_filter: {path} has none")
     return module._linear_filter
