@@ -18,7 +18,7 @@ import tempfile
 from typing import Mapping
 
 from .algebra import Record, _real, db_from_linear, np
-from .montecarlo import BandpassKernel, FlatKernel, SimConfig, oracle_compare
+from .montecarlo import SEGMENT_COUNT, BandpassKernel, FlatKernel, SimConfig, oracle_compare
 from .network import (
     NetworkParams,
     SnrReport,
@@ -569,11 +569,14 @@ def _cmd_montecarlo(args, config: RunConfig) -> dict:
         raise ValueError("config has no 'simulation' block")
     sim = config.simulation
     if args.seed is not None:
-        sim = sim._replace(seed=args.seed)
+        try:
+            sim = sim._replace(seed=args.seed)
+        except ValueError as exc:  # only the seed changed: "seed must be ..."
+            raise ValueError(f"--{exc}") from None
     result = oracle_compare(sim, MC_ANGLES)
     report = {
         "seed": sim.seed,
-        "segment_count": result.segment_count,
+        "segment_count": SEGMENT_COUNT,
         "samples_per_run": result.samples_per_run,
         "all_pass": result.all_pass,
     }

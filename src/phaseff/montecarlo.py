@@ -17,7 +17,10 @@ from typing import Sequence, Union
 from .algebra import NoiseMode, Record, _real, np
 from .network import NetworkParams, spectrum_from_modes
 
-MIN_SAMPLES = 2**14
+# The analysis plan: every periodogram averages SEGMENT_COUNT segments of at
+# least MIN_SEGMENT samples, so a run or a series needs MIN_SAMPLES.
+SEGMENT_COUNT, MIN_SEGMENT = 64, 1024
+MIN_SAMPLES = SEGMENT_COUNT * MIN_SEGMENT
 
 # A row passes when it lies within this many standard errors of the model.
 SIGMA_BOUND = 3.0
@@ -135,6 +138,13 @@ def _linear_filter():
     return module._linear_filter
 
 
+def _long_enough(name: str, n_samples: int) -> None:
+    """Refuse a run or a series the analysis plan cannot cut, naming it."""
+    if n_samples < MIN_SAMPLES:
+        need = f"at least {MIN_SAMPLES} ({SEGMENT_COUNT} segments of {MIN_SEGMENT})"
+        raise ValueError(f"{name} too short: {n_samples} samples, need {need}")
+
+
 def _is_uint64(value) -> bool:
     """A Philox key word: an int (not a bool) in [0, 2^64)."""
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < 2**64
@@ -170,10 +180,7 @@ class SimConfig(Record):
                 f"signal_frequency {self.signal_frequency} Hz is at or above "
                 f"Nyquist ({self.sample_rate / 2.0} Hz)"
             )
-        if self.n_samples < MIN_SAMPLES:
-            raise ValueError(
-                f"run too short: {self.n_samples} samples, need at least {MIN_SAMPLES}"
-            )
+        _long_enough("run", self.n_samples)
         if not isinstance(self.kernel, (FlatKernel, BandpassKernel)):
             raise ValueError(f"unknown kernel type {type(self.kernel).__name__}")
         if isinstance(self.kernel, BandpassKernel):
@@ -450,8 +457,9 @@ class PsdEstimate(Record, eq=False):
     standard_error: np.ndarray
 
 
-def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEstimate:
-    """Averaged periodogram over non-overlapping rectangular segments.
+def estimate_psd(series, sample_rate: float) -> PsdEstimate:
+    """Averaged periodogram over the analysis plan's SEGMENT_COUNT equal,
+    non-overlapping rectangular segments; samples past the last are dropped.
 
     Normalization: |rfft(segment)|^2 / m, so a unit-variance white input
     averages to 1.0 in every bin and a sinusoid of amplitude a centred on an
@@ -463,17 +471,11 @@ def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEsti
     formed, so the samples are never scanned.
     """
     _stream("series", series)
-    if not (isinstance(segment_count, int) and segment_count >= 8):
-        raise ValueError(f"segment_count must be an integer >= 8, got {segment_count!r}")
     _sample_rate(sample_rate)
-    seg_len = series.size // segment_count
-    if seg_len < 1024:
-        raise ValueError(
-            f"series too short: {series.size} samples over {segment_count} segments "
-            f"leaves {seg_len} per segment, need at least 1024"
-        )
-    segments = series[: seg_len * segment_count].reshape(segment_count, seg_len)
-    periodograms = np.empty((segment_count, seg_len // 2 + 1))
+    _long_enough("series", series.size)
+    seg_len = series.size // SEGMENT_COUNT
+    segments = series[: seg_len * SEGMENT_COUNT].reshape(SEGMENT_COUNT, seg_len)
+    periodograms = np.empty((SEGMENT_COUNT, seg_len // 2 + 1))
     per_block = max(1, _CHUNK // seg_len)  # at least one segment per block
 
     def fill_rows(block: int) -> None:
@@ -483,11 +485,11 @@ def estimate_psd(series, sample_rate: float, segment_count: int = 64) -> PsdEsti
         with np.errstate(invalid="ignore", over="ignore"):
             periodograms[part] = np.abs(np.fft.rfft(segments[part], axis=1)) ** 2 / seg_len
 
-    _parallel(fill_rows, -(-segment_count // per_block))
+    _parallel(fill_rows, -(-SEGMENT_COUNT // per_block))
     variance = periodograms.mean(axis=0)
     if not np.isfinite(variance).all():
         raise ValueError("series has non-finite PSD bins: a NaN or inf sample, or overflow")
-    standard_error = periodograms.std(axis=0, ddof=1) / math.sqrt(segment_count)
+    standard_error = periodograms.std(axis=0, ddof=1) / math.sqrt(SEGMENT_COUNT)
     frequencies = np.fft.rfftfreq(seg_len, d=1.0 / sample_rate)
     return PsdEstimate(
         frequencies=frequencies, variance=variance, standard_error=standard_error
@@ -536,7 +538,6 @@ class OracleRow(Record):
 
 class OracleReport(Record):
     rows: tuple[OracleRow, ...]
-    segment_count: int
     samples_per_run: int
 
     @property
@@ -544,11 +545,7 @@ class OracleReport(Record):
         return all(row.within_tolerance for row in self.rows)
 
 
-def oracle_compare(
-    config: SimConfig,
-    angles: Sequence[float],
-    segment_count: int = 64,
-) -> OracleReport:
+def oracle_compare(config: SimConfig, angles: Sequence[float]) -> OracleReport:
     """Band-averaged Monte Carlo spectra against the analytic model.
 
     Runs one independent realization per angle (trial index = position in
@@ -587,7 +584,7 @@ def oracle_compare(
             QuadratureStreams(amplitude, phase).at_angle(phi, out=amplitude)
 
         _parallel(fill, -(-n // _CHUNK))
-        estimate = estimate_psd(series, config.sample_rate, segment_count=segment_count)
+        estimate = estimate_psd(series, config.sample_rate)
         del series  # freed before the next angle allocates its own
         if config.signal_amplitude > 0.0:
             bin_width = float(estimate.frequencies[1])
@@ -611,6 +608,4 @@ def oracle_compare(
                 within_tolerance=z <= SIGMA_BOUND,
             )
         )
-    return OracleReport(
-        rows=tuple(rows), segment_count=segment_count, samples_per_run=config.n_samples
-    )
+    return OracleReport(rows=tuple(rows), samples_per_run=config.n_samples)

@@ -206,7 +206,7 @@ def test_criterion_7_monte_carlo_oracle():
     details = []
     for label, params, seed in setups:
         cfg = SimConfig(params=params, sample_rate=262144.0, duration=1.0, seed=seed)
-        result = oracle_compare(cfg, angles, segment_count=64)
+        result = oracle_compare(cfg, angles)
         assert result.samples_per_run == 64 * 4096
         ok = ok and result.all_pass
         worst = max(row.n_sigma for row in result.rows)

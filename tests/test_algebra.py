@@ -227,7 +227,7 @@ RECORDS = [
         ["phi", "mc_variance", "standard_error", "analytic_variance", "n_sigma", "within_tolerance"],
         (0.0, 1.0, 0.1, 1.05, 0.5, True),
     ),
-    (OracleReport, ["rows", "segment_count", "samples_per_run"], ((ROW,), 64, 2**18)),
+    (OracleReport, ["rows", "samples_per_run"], ((ROW,), 2**18)),
 ]
 
 # the records that compare and hash by identity, as dataclasses with eq=False

@@ -129,7 +129,12 @@ def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
     assert named in err
 
 
-@pytest.mark.parametrize("command", ["optimize", "snr", "montecarlo"])
+# fit's trace need not exist: the config is loaded first
+@pytest.mark.parametrize(
+    "command",
+    [["optimize"], ["spectrum"], ["sweep"], ["snr"], ["montecarlo"], ["fit", "none.csv"]],
+    ids=lambda argv: argv[0],
+)
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -137,16 +142,19 @@ def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
         ("sample_rate", "1e5", "error: simulation.sample_rate must be a number, got '1e5'\n"),
         ("kernel", {"type": "bandpass", "center_hz": 1e5, "bandwidth_hz": 10.0, "gain": 1.0},
          "error: simulation: center_hz 100000.0 Hz is at or above Nyquist (32768.0 Hz)\n"),
+        # the analysis plan, 64 segments of at least 1,024 samples, cannot cut these
+        *(("duration", n / 65536.0, f"error: simulation: run too short: {n} samples, "
+           "need at least 65536 (64 segments of 1024)\n") for n in (2**14, 2**16 - 1)),
     ],
-    ids=["duration-zero", "sample-rate-string", "kernel-above-nyquist"],
+    ids=["duration-zero", "sample-rate-string", "kernel-above-nyquist", "run-16384", "run-65535"],
 )
 def test_simulation_block_checked_by_every_subcommand(tmp_path, capsys, command, key, value, message):
     # the block's values are checked by SimConfig itself, on load, and the
     # error names the block once
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(edited("simulation", key, value)))
-    assert main([command, "--config", str(path)]) == 1
-    assert capsys.readouterr().err == message
+    assert main([*command, "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", message)
 
 
 # (case id, config sweep block, flags, formula and detected the run must use)
@@ -644,6 +652,13 @@ class TestCliCommands:
         assert data["all_pass"] is True
         assert data["segment_count"] == 64
         assert math.isclose(data["phi_2"], math.pi / 2.0, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_montecarlo_bad_seed_names_the_flag(self, capsys, config_path, seed):
+        assert main(["montecarlo", "--config", config_path, "--seed", str(seed)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --seed must be an integer in [0, 2^64), got {seed}\n"
+        )
 
     def test_fit_roundtrip_through_files(self, tmp_path, capsys, config_path):
         trace_path = tmp_path / "trace.csv"

@@ -289,7 +289,7 @@ def projection(amplitude, out):
 
 
 def psd(series):
-    return estimate_psd(series, 1024.0, segment_count=8)
+    return estimate_psd(series, 1024.0)
 
 
 # SHIFTED[:10] and SHIFTED[1:] overlap in nine samples
@@ -322,8 +322,8 @@ STREAM_FIELDS = [
     ("psd-list", lambda: psd([1.0] * 2**13), "series"),
     ("psd-strings", lambda: psd(np.full(2**13, "1.0")), "series"),
     ("psd-2d", lambda: psd(np.ones((8, 1024))), "series"),
-    ("psd-nan", lambda: psd(np.append(np.ones(2**13 - 1), math.nan)), "series"),
-    ("psd-inf", lambda: psd(np.append(np.ones(2**13 - 1), math.inf)), "series"),
+    ("psd-nan", lambda: psd(np.append(np.ones(2**16 - 1), math.nan)), "series"),
+    ("psd-inf", lambda: psd(np.append(np.ones(2**16 - 1), math.inf)), "series"),
 ]
 
 

@@ -1,7 +1,8 @@
 """Import-path guard: numpy loads only when an array path runs, so not for
 `import phaseff` nor for the optimize, snr and spectrum subcommands, nor for
 a sweep of up to cli._SCALAR_SWEEP_MAX points, which evaluate their formulas
-on Python floats with math, nor for the library's scalar formulas;
+on Python floats with math, nor for the library's scalar formulas, nor
+for a montecarlo run too short for the analysis plan, refused on load;
 neither scipy nor scipy.signal loads at all: a bandpass kernel loads only
 scipy's compiled filter module, by file, and concurrent.futures loads only
 when a Monte Carlo run spans several chunks.  dataclasses (which loads
@@ -129,6 +130,74 @@ def test_bandpass_kernel_skips_scipy_signal(tmp_path):
     )
     loaded = _loaded(code, tmp_path)
     assert not loaded["scipy"] and not loaded["scipy.signal"]
+
+
+# a bandpass run that must fail on scipy's compiled filter module, naming it
+BANDPASS_REFUSED = (
+    "from phaseff import BandpassKernel, NetworkParams, apply_kernel\n"
+    "p = NetworkParams(epsilon=0.2, eta_h1=1.0, eta_d1=1.0, gain=1.0)\n"
+    "try:\n"
+    "    apply_kernel(BandpassKernel(1000.0, 100.0, 1.0), np.zeros(64), p, 8192.0)\n"
+    "except ImportError as exc:\n"
+    "    assert str(exc).startswith({start!r}), exc\n"
+    "else:\n"
+    "    raise AssertionError('the bandpass kernel ran')\n"
+)
+
+
+def test_bandpass_kernel_refuses_a_scipy_without_the_filter_module(tmp_path):
+    # find_spec("scipy") names an empty directory: no signal/_sigtools file
+    (tmp_path / "scipy").mkdir()
+    code = (
+        "import importlib.util\n"
+        "from importlib.machinery import ModuleSpec\n"
+        "import numpy as np\n"
+        "scipy = ModuleSpec('scipy', None, is_package=True)\n"
+        f"scipy.submodule_search_locations = [{str(tmp_path / 'scipy')!r}]\n"
+        "find_spec = importlib.util.find_spec\n"
+        "importlib.util.find_spec = lambda name, package=None: (\n"
+        "    scipy if name == 'scipy' else find_spec(name, package)\n"
+        ")\n"
+        + BANDPASS_REFUSED.format(
+            start="the bandpass kernel needs scipy's compiled scipy.signal._sigtools: not found"
+        )
+    )
+    assert not _loaded(code, tmp_path)["scipy"]
+
+
+def test_bandpass_kernel_refuses_a_filter_module_without_the_function(tmp_path):
+    # the extension loader builds an empty module in place of _sigtools;
+    # _sigtools initializes when it is created, so stubbing exec_module
+    # alone would leave its functions in place
+    code = (
+        "import sys, types\n"
+        "from importlib.machinery import ExtensionFileLoader\n"
+        "import numpy as np\n"  # numpy's own extensions load before the stub
+        "ExtensionFileLoader.create_module = lambda self, spec: types.ModuleType(spec.name)\n"
+        + BANDPASS_REFUSED.format(
+            start="the bandpass kernel needs scipy.signal._sigtools._linear_filter: "
+        )
+        + "assert 'scipy.signal._sigtools' not in sys.modules\n"
+    )
+    assert not _loaded(code, tmp_path)["scipy"]
+
+
+def test_run_too_short_is_refused_before_numpy_loads(tmp_path):
+    # 16,384 samples: the config load refuses a run the analysis plan
+    # (64 segments of at least 1,024 samples) cannot cut
+    with open(EXAMPLE) as handle:
+        config = json.load(handle)
+    config["simulation"]["duration"] = 2**14 / config["simulation"]["sample_rate"]
+    (tmp_path / "short.json").write_text(json.dumps(config))
+    code = (
+        "import contextlib, io\n"
+        "from phaseff.cli import main\n"
+        "err = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n"
+        "    assert main(['montecarlo', '--config', 'short.json']) == 1\n"
+        "assert err.getvalue().startswith('error: simulation: run too short: 16384 '), err\n"
+    )
+    assert not _loaded(code, tmp_path)["numpy"]
 
 
 @pytest.mark.parametrize("signal_first", [False, True])

@@ -29,7 +29,7 @@ from phaseff import (
     spectrum_from_modes,
 )
 from phaseff import montecarlo
-from phaseff.montecarlo import _CHUNK, _substream
+from phaseff.montecarlo import _CHUNK, MIN_SAMPLES, SEGMENT_COUNT, _substream
 
 FS = 65536.0
 DUR = 1.0  # 64 segments of 1024 samples
@@ -65,13 +65,16 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="Nyquist"):
             config_for(make_params(), signal_frequency=FS / 2.0, signal_amplitude=1.0)
 
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
-            SimConfig(params=make_params(), sample_rate=8192.0, duration=1.0)
+    @pytest.mark.parametrize("n_samples", [8192, 2**14, 2**16 - 1])
+    def test_too_few_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="^run too short"):
+            SimConfig(params=make_params(), sample_rate=float(n_samples), duration=1.0)
 
     def test_minimum_length_boundary(self):
-        cfg = SimConfig(params=make_params(), sample_rate=16384.0, duration=1.0)
-        assert cfg.n_samples == 2**14
+        # the analysis plan: 64 segments of at least 1,024 samples
+        assert (SEGMENT_COUNT, MIN_SAMPLES) == (64, 2**16)
+        cfg = SimConfig(params=make_params(), sample_rate=65536.0, duration=1.0)
+        assert cfg.n_samples == MIN_SAMPLES
 
     def test_complex_gain_with_flat_kernel_rejected(self):
         # the rule is apply_kernel's: the config builds, and every run refuses it
@@ -170,7 +173,7 @@ class TestEstimatePsd:
         freq = 100.0 * FS / m  # bin 100 exactly
         t = np.arange(m * n_seg) / FS
         series = a * np.sin(2.0 * math.pi * freq * t)
-        est = estimate_psd(series, FS, segment_count=n_seg)
+        est = estimate_psd(series, FS)
         expected = a * a * m / 4.0
         assert math.isclose(est.variance[100], expected, rel_tol=1e-9)
         others = np.delete(est.variance[1:-1], 99)
@@ -187,44 +190,43 @@ class TestEstimatePsd:
         assert est.frequencies[-1] == FS / 2.0
         assert est.variance.shape == est.frequencies.shape == est.standard_error.shape
 
-    def test_short_series_rejected(self):
-        with pytest.raises(ValueError, match="too short"):
-            estimate_psd(np.zeros(32768), FS, segment_count=64)
-
-    def test_small_segment_count_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_psd(np.zeros(65536), FS, segment_count=4)
+    @pytest.mark.parametrize("n_samples", [32768, MIN_SAMPLES - 1])
+    def test_short_series_rejected(self, n_samples):
+        with pytest.raises(ValueError, match="^series too short"):
+            estimate_psd(np.zeros(n_samples), FS)
 
     @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize(
-        "n_samples, segment_count",
-        # the last: 8 segments of 270,000 samples, each longer than _CHUNK
-        [(65536, 64), (5 * _CHUNK + 123, 64), (8 * 270_000 + 5, 8)],
+        "n_samples, chunk",
+        # the last: 64 segments of 5,000 samples, each longer than a 4,096-sample _CHUNK
+        [(65536, _CHUNK), (5 * _CHUNK + 123, _CHUNK), (64 * 5000 + 5, 2**12)],
     )
-    def test_matches_one_shot_periodogram(self, monkeypatch, cpus, n_samples, segment_count):
+    def test_matches_one_shot_periodogram(self, monkeypatch, cpus, n_samples, chunk):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         rng = np.random.Generator(np.random.Philox(key=np.array([13, 2], dtype=np.uint64)))
         series = rng.standard_normal(n_samples)
-        est = estimate_psd(series, FS, segment_count=segment_count)
-        m = n_samples // segment_count
-        segments = series[: m * segment_count].reshape(segment_count, m)
+        est = estimate_psd(series, FS)
+        m = n_samples // 64
+        segments = series[: m * 64].reshape(64, m)
         rows = np.abs(np.fft.rfft(segments, axis=1)) ** 2 / m
         assert np.array_equal(est.variance, rows.mean(axis=0))
-        want_se = rows.std(axis=0, ddof=1) / math.sqrt(segment_count)
+        want_se = rows.std(axis=0, ddof=1) / math.sqrt(64)
         assert np.array_equal(est.standard_error, want_se)
         assert np.array_equal(est.frequencies, np.fft.rfftfreq(m, d=1.0 / FS))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    # one block on the calling thread; two blocks, one per worker thread
-    @pytest.mark.parametrize("segment_count", [8, 512])
-    def test_non_finite_series_raises_only_the_error(self, monkeypatch, bad, segment_count):
+    # 64 segments of 1,024 samples are one block on the calling thread; of
+    # 8,192 samples, two blocks of 32 segments, one per worker thread
+    @pytest.mark.parametrize("segment", [1024, 8192])
+    def test_non_finite_series_raises_only_the_error(self, monkeypatch, bad, segment):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        series = np.ones(1024 * segment_count)
+        series = np.ones(64 * segment)
         series[-1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite PSD bins"):
-                estimate_psd(series, FS, segment_count=segment_count)
+                estimate_psd(series, FS)
 
     def test_band_average_masks_tone(self):
         m, n_seg = 1024, 64
@@ -232,7 +234,7 @@ class TestEstimatePsd:
         rng = np.random.Generator(np.random.Philox(key=np.array([3, 1], dtype=np.uint64)))
         t = np.arange(m * n_seg) / FS
         series = rng.standard_normal(m * n_seg) + 2.0 * np.sin(2.0 * math.pi * freq * t)
-        est = estimate_psd(series, FS, segment_count=n_seg)
+        est = estimate_psd(series, FS)
         bin_width = FS / m
         masked, se = band_average(est, exclude_hz=freq, exclude_width_hz=3.0 * bin_width)
         unmasked, _ = band_average(est)
@@ -471,20 +473,19 @@ class TestChunks:
 
     @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize(
-        "name, n_samples, segment_count",
-        # the last: 8 segments of 270,000 samples, each longer than _CHUNK
-        [("tone", 5 * _CHUNK + 123, 64), ("flat", 8 * 270_000 + 5, 8)],
+        "name, n_samples, chunk",
+        # the last: 64 segments of 5,000 samples, each longer than a 4,096-sample _CHUNK
+        [("tone", 5 * _CHUNK + 123, _CHUNK), ("flat", 64 * 5000 + 5, 2**12)],
     )
     def test_oracle_rows_are_the_whole_stream_estimate(
-        self, monkeypatch, name, n_samples, segment_count, cpus
+        self, monkeypatch, name, n_samples, chunk, cpus
     ):
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         cfg = chunked_config(name, n_samples=n_samples)
         angles = [0.3, math.pi / 2.0]
         want = []
         for trial, phi in enumerate(angles):
-            est = estimate_psd(
-                simulate_streams(cfg, trial).at_angle(phi), CHUNK_FS, segment_count
-            )
+            est = estimate_psd(simulate_streams(cfg, trial).at_angle(phi), CHUNK_FS)
             if cfg.signal_amplitude > 0.0:
                 width = 3.0 * float(est.frequencies[1])
                 want.append(band_average(est, cfg.signal_frequency, width))
@@ -494,7 +495,7 @@ class TestChunks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # interleave the chunk and block threads finely
         try:
-            report = oracle_compare(cfg, angles, segment_count=segment_count)
+            report = oracle_compare(cfg, angles)
         finally:
             sys.setswitchinterval(interval)
         assert [(row.mc_variance, row.standard_error) for row in report.rows] == want

@@ -401,7 +401,7 @@ class TestSignalFlow:
     error: a unit sample in one mode alone must come out as that mode's
     column, scaled by the mode's standard deviation."""
 
-    N = 40_000  # one chunk, not a whole number of draw blocks
+    N = 70_000  # one chunk, at least MIN_SAMPLES, not a whole number of draw blocks
 
     def _check(self, monkeypatch, p):
         config = SimConfig(params=p, sample_rate=float(self.N), duration=1.0)
