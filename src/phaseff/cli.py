@@ -272,7 +272,7 @@ def fit_gain(trace: SweepTrace, params: NetworkParams, formula: str = "paper") -
             "the trace's gain lies beyond the bracket, so there is no fit to report"
         )
     lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
+    hi = grid[best + 1]
     k_fit, iterations = _golden_section_min(objective, lo, hi, FIT_TOL)
     return FitResult(
         k_fit=float(k_fit),

@@ -38,6 +38,20 @@ _CHUNK = 2**18
 _BLOCK = 2**15
 
 
+def _signed(name: str, value, rule: str = ">") -> float:
+    """value as _real's float, once it is > 0 (rule ">") or >= 0 (rule ">=")."""
+    number = _real(name, value)
+    if not (number > 0.0 or rule == ">=" and number == 0.0):
+        raise ValueError(f"{name} must be {rule} 0, got {number!r}")
+    return number
+
+
+def _below_nyquist(name: str, hz: float, sample_rate: float) -> None:
+    """Refuse a frequency at or above sample_rate / 2, naming it."""
+    if not hz < sample_rate / 2.0:
+        raise ValueError(f"{name} {hz} Hz is at or above Nyquist ({sample_rate / 2.0} Hz)")
+
+
 class FlatKernel(Record):
     """Instantaneous feed-forward: correction = gain * photocurrent."""
 
@@ -54,32 +68,20 @@ class BandpassKernel(Record):
     gain: float
 
     def __post_init__(self) -> None:
-        if not _real("center_hz", self.center_hz) > 0.0:
-            raise ValueError(f"center_hz must be > 0, got {self.center_hz!r}")
-        if not _real("bandwidth_hz", self.bandwidth_hz) > 0.0:
-            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz!r}")
-        _real("gain", self.gain)
+        for name in ("center_hz", "bandwidth_hz"):
+            object.__setattr__(self, name, _signed(name, getattr(self, name)))
+        object.__setattr__(self, "gain", _real("gain", self.gain))
 
 
 Kernel = Union[FlatKernel, BandpassKernel]
 
 
-def _sample_rate(value) -> float:
-    """A sample rate as a float, once it is a number > 0."""
-    rate = _real("sample_rate", value)
-    if not rate > 0.0:
-        raise ValueError(f"sample_rate must be > 0, got {value!r}")
-    return rate
-
-
 def _resonator_domain(kernel: BandpassKernel, sample_rate) -> float:
     """The sample rate as a float, once the resonator is stable at it: its
     centre and its bandwidth both below Nyquist."""
-    rate = _sample_rate(sample_rate)
+    rate = _signed("sample_rate", sample_rate)
     for name in ("center_hz", "bandwidth_hz"):
-        value = getattr(kernel, name)
-        if not value < rate / 2.0:
-            raise ValueError(f"{name} {value} Hz is at or above Nyquist ({rate / 2.0} Hz)")
+        _below_nyquist(name, getattr(kernel, name), rate)
     return rate
 
 
@@ -91,8 +93,8 @@ def _peak_coefficients(kernel: BandpassKernel, sample_rate) -> tuple[np.ndarray,
     Signal Processing, eqs. 11.3.19, 11.3.6 and 11.3.21, in iirpeak's order
     of operations, so the coefficients have its bits.
     """
-    w0 = 2 * float(kernel.center_hz) / _resonator_domain(kernel, sample_rate)
-    bw = w0 / float(kernel.center_hz / kernel.bandwidth_hz) * math.pi
+    w0 = 2 * kernel.center_hz / _resonator_domain(kernel, sample_rate)
+    bw = w0 / (kernel.center_hz / kernel.bandwidth_hz) * math.pi
     w0 = w0 * math.pi
     gain = 1.0 / (1.0 + math.tan(bw / 2.0))
     b = (1.0 - gain) * np.array([1.0, 0.0, -1.0])
@@ -168,18 +170,12 @@ class SimConfig(Record):
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _sample_rate(self.sample_rate)
-        if not _real("duration", self.duration) > 0.0:
-            raise ValueError(f"duration must be > 0, got {self.duration!r}")
-        if not _real("signal_frequency", self.signal_frequency) >= 0.0:
-            raise ValueError(f"signal_frequency must be >= 0, got {self.signal_frequency!r}")
-        if not _real("signal_amplitude", self.signal_amplitude) >= 0.0:
-            raise ValueError(f"signal_amplitude must be >= 0, got {self.signal_amplitude!r}")
-        if self.signal_frequency >= self.sample_rate / 2.0:
-            raise ValueError(
-                f"signal_frequency {self.signal_frequency} Hz is at or above "
-                f"Nyquist ({self.sample_rate / 2.0} Hz)"
-            )
+        for name in ("sample_rate", "duration", "signal_frequency", "signal_amplitude"):
+            rule = ">=" if name.startswith("signal_") else ">"  # a tone may be absent
+            object.__setattr__(self, name, _signed(name, getattr(self, name), rule))
+        _below_nyquist("signal_frequency", self.signal_frequency, self.sample_rate)
+        if not math.isfinite(self.duration * self.sample_rate):
+            raise ValueError(f"run too long: {self.duration} s at {self.sample_rate} Hz overflows")
         _long_enough("run", self.n_samples)
         if not isinstance(self.kernel, (FlatKernel, BandpassKernel)):
             raise ValueError(f"unknown kernel type {type(self.kernel).__name__}")
@@ -471,7 +467,7 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     formed, so the samples are never scanned.
     """
     _stream("series", series)
-    _sample_rate(sample_rate)
+    sample_rate = _signed("sample_rate", sample_rate)
     _long_enough("series", series.size)
     seg_len = series.size // SEGMENT_COUNT
     segments = series[: seg_len * SEGMENT_COUNT].reshape(SEGMENT_COUNT, seg_len)
@@ -507,9 +503,7 @@ def band_average(
     of exclude_hz (a coherent tone) can be masked out too.  Bins are treated as
     independent, which is exact for white input.
     """
-    width = _real("exclude_width_hz", exclude_width_hz)
-    if width < 0.0:
-        raise ValueError(f"exclude_width_hz must be >= 0, got {width!r}")
+    width = _signed("exclude_width_hz", exclude_width_hz, ">=")
     n_bins = estimate.variance.size
     if n_bins < 3:
         raise ValueError("estimate has no interior bins")
@@ -586,15 +580,11 @@ def oracle_compare(config: SimConfig, angles: Sequence[float]) -> OracleReport:
         _parallel(fill, -(-n // _CHUNK))
         estimate = estimate_psd(series, config.sample_rate)
         del series  # freed before the next angle allocates its own
-        if config.signal_amplitude > 0.0:
-            bin_width = float(estimate.frequencies[1])
-            mc, se = band_average(
-                estimate,
-                exclude_hz=config.signal_frequency,
-                exclude_width_hz=3.0 * bin_width,
-            )
-        else:
-            mc, se = band_average(estimate)
+        mc, se = band_average(
+            estimate,
+            exclude_hz=config.signal_frequency if config.signal_amplitude > 0.0 else None,
+            exclude_width_hz=3.0 * estimate.frequencies[1],  # three bins
+        )
         analytic = float(spectrum_from_modes(config.params, phi))
         gap = abs(mc - analytic)
         z = gap / se if se > 0.0 else (0.0 if gap == 0.0 else math.inf)

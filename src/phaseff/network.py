@@ -257,8 +257,7 @@ def _check_unit_interval(name: str, value: float) -> float:
 
 def ideal_gain(epsilon: float) -> float:
     """Gain that cancels the tap vacuum exactly when detection is lossless."""
-    epsilon = _check_unit_interval("epsilon", epsilon)
-    return math.sqrt((1.0 - epsilon) / epsilon)
+    return optimal_gain(epsilon, 1.0, 1.0)
 
 
 def optimal_gain(epsilon: float, eta_h: float, eta_d: float) -> float:

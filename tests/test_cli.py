@@ -145,8 +145,13 @@ def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
         # the analysis plan, 64 segments of at least 1,024 samples, cannot cut these
         *(("duration", n / 65536.0, f"error: simulation: run too short: {n} samples, "
            "need at least 65536 (64 segments of 1024)\n") for n in (2**14, 2**16 - 1)),
+        # 1e305 s at 65,536 Hz: the sample count overflows a float
+        ("duration", 1e305, "error: simulation: run too long: 1e+305 s at 65536.0 Hz overflows\n"),
     ],
-    ids=["duration-zero", "sample-rate-string", "kernel-above-nyquist", "run-16384", "run-65535"],
+    ids=[
+        "duration-zero", "sample-rate-string", "kernel-above-nyquist", "run-16384", "run-65535",
+        "run-overflows",
+    ],
 )
 def test_simulation_block_checked_by_every_subcommand(tmp_path, capsys, command, key, value, message):
     # the block's values are checked by SimConfig itself, on load, and the
