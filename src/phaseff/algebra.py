@@ -149,9 +149,7 @@ class QuadratureExpansion(Record):
         for mode, value in self.coefficients.items():
             if not isinstance(mode, NoiseMode):
                 raise ValueError(f"expansion key {mode!r} is not a NoiseMode")
-            z = complex(value)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"non-finite coefficient for {mode.value}: {value!r}")
+            z = _complex(f"coefficient for {mode.value}", value)
             if z != 0:
                 cleaned[mode] = z
         object.__setattr__(self, "coefficients", cleaned)
@@ -171,9 +169,9 @@ class SourceVariances(Record):
         for mode, value in self.variance.items():
             if not isinstance(mode, NoiseMode):
                 raise ValueError(f"variance key {mode!r} is not a NoiseMode")
-            v = float(value)
-            if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"variance for {mode.value} must be finite and >= 0, got {value!r}")
+            v = _real(f"variance for {mode.value}", value)
+            if v < 0.0:
+                raise ValueError(f"variance for {mode.value} must be >= 0, got {value!r}")
             cleaned[mode] = v
         object.__setattr__(self, "variance", cleaned)
 
@@ -182,7 +180,7 @@ class SourceVariances(Record):
         """Every mode at the quantum noise limit, with an optional excess
         variance on the input phase quadrature."""
         table = {mode: 1.0 for mode in NoiseMode}
-        table[NoiseMode.INPUT_PHASE] = float(input_phase)
+        table[NoiseMode.INPUT_PHASE] = input_phase
         return cls(table)
 
 
@@ -236,6 +234,17 @@ def _real(name: str, value) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def _complex(name: str, value) -> complex:
+    """value as a complex whose real and imaginary parts each passed _real."""
+    # a complex (numpy's too) by its parts, anything else as the real part;
+    # numpy types are tested last, so a plain value loads no numpy
+    if isinstance(value, complex) or (
+        not isinstance(value, (int, float, str)) and isinstance(value, np.complexfloating)
+    ):
+        return complex(_real(name, value.real), _real(name, value.imag))
+    return complex(_real(name, value), 0.0)
 
 
 def db_from_linear(value: float) -> float:

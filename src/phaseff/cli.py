@@ -66,6 +66,11 @@ def _check_bool(name: str, value) -> None:
         raise ValueError(f"{name} must be true or false, got {value!r}")
 
 
+def _check_formula(formula) -> None:
+    if not (isinstance(formula, str) and formula in SPECTRUM_FORMULAS):
+        raise ValueError(f"formula must be one of {sorted(SPECTRUM_FORMULAS)}, got {formula!r}")
+
+
 class SweepTrace(Record, eq=False):
     """Local-oscillator phase sweep of the output quadrature variance.
 
@@ -134,10 +139,7 @@ class SweepSettings(Record):
         # the range of points is _check_points' to check
         if isinstance(self.points, bool) or not isinstance(self.points, int):
             raise ValueError(f"points must be an integer, got {self.points!r}")
-        if not (isinstance(self.formula, str) and self.formula in SPECTRUM_FORMULAS):
-            raise ValueError(
-                f"formula must be one of {sorted(SPECTRUM_FORMULAS)}, got {self.formula!r}"
-            )
+        _check_formula(self.formula)
         _check_bool("detected", self.detected)
 
 
@@ -206,10 +208,7 @@ def _level(params: NetworkParams, formula: str, detected: bool):
     """Output quadrature variance by the named formula, as a function of
     (cos phi, sin phi, module), read through the verification stage
     (efficiency eta_det2) when detected."""
-    if not (isinstance(formula, str) and formula in SPECTRUM_FORMULAS):
-        raise ValueError(
-            f"unknown formula {formula!r}, expected one of {sorted(SPECTRUM_FORMULAS)}"
-        )
+    _check_formula(formula)
     _check_bool("detected", detected)
     level = SPECTRUM_FORMULAS[formula](params)
     if not detected:

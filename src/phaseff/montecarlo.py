@@ -18,9 +18,11 @@ from .algebra import NoiseMode, Record, _real, np
 from .network import NetworkParams, spectrum_from_modes
 
 # The analysis plan: every periodogram averages SEGMENT_COUNT segments of at
-# least MIN_SEGMENT samples, so a run or a series needs MIN_SAMPLES.
+# least MIN_SEGMENT samples, so a run or a series needs MIN_SAMPLES.  A run has
+# at most MAX_SAMPLES: a bandpass simulate_streams holds about 25 B per sample,
+# so 2^27 samples fit in 4 GiB, on every machine alike (free memory is not read).
 SEGMENT_COUNT, MIN_SEGMENT = 64, 1024
-MIN_SAMPLES = SEGMENT_COUNT * MIN_SEGMENT
+MIN_SAMPLES, MAX_SAMPLES = SEGMENT_COUNT * MIN_SEGMENT, 2**27
 
 # A row passes when it lies within this many standard errors of the model.
 SIGMA_BOUND = 3.0
@@ -76,24 +78,22 @@ class BandpassKernel(Record):
 Kernel = Union[FlatKernel, BandpassKernel]
 
 
-def _resonator_domain(kernel: BandpassKernel, sample_rate) -> float:
-    """The sample rate as a float, once the resonator is stable at it: its
-    centre and its bandwidth both below Nyquist."""
-    rate = _signed("sample_rate", sample_rate)
+def _resonator_domain(kernel: BandpassKernel, sample_rate: float) -> None:
+    """Refuse a sample rate the resonator is unstable at: its centre or its
+    bandwidth at or above Nyquist."""
     for name in ("center_hz", "bandwidth_hz"):
-        _below_nyquist(name, getattr(kernel, name), rate)
-    return rate
+        _below_nyquist(name, getattr(kernel, name), sample_rate)
 
 
-def _peak_coefficients(kernel: BandpassKernel, sample_rate) -> tuple[np.ndarray, np.ndarray]:
-    """The resonator's (b, a) at sample_rate, refused outside its domain.
+def _peak_coefficients(kernel: BandpassKernel, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The resonator's (b, a) at sample_rate, a float inside its domain.
 
     The closed form of scipy's iirpeak(center_hz, center_hz / bandwidth_hz,
     fs=sample_rate), the -3 dB peak filter of Orfanidis, Introduction to
     Signal Processing, eqs. 11.3.19, 11.3.6 and 11.3.21, in iirpeak's order
     of operations, so the coefficients have its bits.
     """
-    w0 = 2 * kernel.center_hz / _resonator_domain(kernel, sample_rate)
+    w0 = 2 * kernel.center_hz / sample_rate
     bw = w0 / (kernel.center_hz / kernel.bandwidth_hz) * math.pi
     w0 = w0 * math.pi
     gain = 1.0 / (1.0 + math.tan(bw / 2.0))
@@ -174,8 +174,9 @@ class SimConfig(Record):
             rule = ">=" if name.startswith("signal_") else ">"  # a tone may be absent
             object.__setattr__(self, name, _signed(name, getattr(self, name), rule))
         _below_nyquist("signal_frequency", self.signal_frequency, self.sample_rate)
-        if not math.isfinite(self.duration * self.sample_rate):
-            raise ValueError(f"run too long: {self.duration} s at {self.sample_rate} Hz overflows")
+        samples = self.duration * self.sample_rate  # inf if it overflows
+        if not samples <= MAX_SAMPLES:
+            raise ValueError(f"run too long: {samples:.6g} samples, need at most {MAX_SAMPLES}")
         _long_enough("run", self.n_samples)
         if not isinstance(self.kernel, (FlatKernel, BandpassKernel)):
             raise ValueError(f"unknown kernel type {type(self.kernel).__name__}")
@@ -287,6 +288,7 @@ def apply_kernel(
     length, which may be the photocurrent itself) if given, else into a new
     array, and returned.
     """
+    sample_rate = _signed("sample_rate", sample_rate)
     _stream("photocurrent", photocurrent)
     if out is not None:
         _check_out(out, photocurrent)
@@ -295,6 +297,7 @@ def apply_kernel(
             raise ValueError("flat kernel needs a real gain")
         return np.multiply(params.gain.real, photocurrent, out=out)
     if isinstance(kernel, BandpassKernel):
+        _resonator_domain(kernel, sample_rate)
         b, a = _peak_coefficients(kernel, sample_rate)
         linear_filter = _linear_filter()
         if out is None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import NoiseMode, QuadratureExpansion, Record, _real, linear_from_db, np
+from .algebra import NoiseMode, QuadratureExpansion, Record, _complex, _real, linear_from_db, np
 
 
 class NetworkParams(Record):
@@ -39,15 +39,7 @@ class NetworkParams(Record):
     def __post_init__(self) -> None:
         for name in ("epsilon", "eta_h1", "eta_d1", "eta_det2"):
             object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
-        g = self.gain
-        # numpy types are tested last, so a plain gain loads no numpy
-        if isinstance(g, complex) or (
-            not isinstance(g, (int, float, str)) and isinstance(g, np.complexfloating)
-        ):
-            parts = (g.real, g.imag)
-        else:
-            parts = (g, 0.0)
-        object.__setattr__(self, "gain", complex(*(_real("gain", x) for x in parts)))
+        object.__setattr__(self, "gain", _complex("gain", self.gain))
         v = _real("v_phase_in", self.v_phase_in)
         if not v >= 1.0:
             raise ValueError(f"v_phase_in must be >= 1 (vacuum units), got {v!r}")
@@ -110,9 +102,7 @@ def _phase_weights(params: NetworkParams) -> list[float]:
 def output_expansion(params: NetworkParams, phi: float) -> QuadratureExpansion:
     """Output-beam quadrature at analysis angle phi, mode by mode: one row
     cos(phi) * amplitude + sin(phi) * phase of mode_coefficients."""
-    phi = float(phi)
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
+    phi = _real("phi", phi)
     amplitude, phase = mode_coefficients(params)
     row = math.cos(phi) * amplitude + math.sin(phi) * phase
     return QuadratureExpansion(dict(zip(NoiseMode, row)))

@@ -145,12 +145,16 @@ def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
         # the analysis plan, 64 segments of at least 1,024 samples, cannot cut these
         *(("duration", n / 65536.0, f"error: simulation: run too short: {n} samples, "
            "need at least 65536 (64 segments of 1024)\n") for n in (2**14, 2**16 - 1)),
-        # 1e305 s at 65,536 Hz: the sample count overflows a float
-        ("duration", 1e305, "error: simulation: run too long: 1e+305 s at 65536.0 Hz overflows\n"),
+        # the run-size cap, 2^27 samples, refuses these: 1e12 s at 65,536 Hz,
+        # and 1e305 s, whose sample count overflows a float
+        ("duration", 1e12, "error: simulation: run too long: 6.5536e+16 samples, "
+         "need at most 134217728\n"),
+        ("duration", 1e305, "error: simulation: run too long: inf samples, "
+         "need at most 134217728\n"),
     ],
     ids=[
         "duration-zero", "sample-rate-string", "kernel-above-nyquist", "run-16384", "run-65535",
-        "run-overflows",
+        "run-1e12", "run-overflows",
     ],
 )
 def test_simulation_block_checked_by_every_subcommand(tmp_path, capsys, command, key, value, message):
@@ -346,7 +350,7 @@ class TestRunSweep:
         )
 
     def test_rejects_unknown_formula(self):
-        with pytest.raises(ValueError, match="unknown formula"):
+        with pytest.raises(ValueError, match="^formula must be one of"):
             run_sweep(BENCH, formula="exact")
 
     @pytest.mark.parametrize("formula", ["paper", "coefficient"])

@@ -14,9 +14,12 @@ from phaseff import (
     BandpassKernel,
     FlatKernel,
     NetworkParams,
+    NoiseMode,
+    QuadratureExpansion,
     QuadratureStreams,
     SimConfig,
     SnrSettings,
+    SourceVariances,
     SweepSettings,
     SweepTrace,
     apply_kernel,
@@ -30,6 +33,7 @@ from phaseff import (
     max_transfer_ratio,
     optimal_gain,
     oracle_compare,
+    output_expansion,
     pia_transfer_ratio,
     run_sweep,
     spectrum_closed_form,
@@ -42,6 +46,7 @@ NETWORK = {"epsilon": 0.2, "eta_h1": 0.94, "eta_d1": 0.91, "gain": 3.2}
 P = NetworkParams(**NETWORK)
 SIM = {"params": P, "sample_rate": 65536.0, "duration": 1.0}
 KERNEL = {"center_hz": 1000.0, "bandwidth_hz": 100.0, "gain": 1.0}
+PHI_IN = NoiseMode.INPUT_PHASE
 LEVELS = {"input_total_db": 8.0, "input_noise_db": 0.0, "output_total_db": 17.6, "output_noise_db": 9.5}
 
 
@@ -92,6 +97,7 @@ NUMBER_FIELDS = [
     ("SimConfig.signal_amplitude", simulation("signal_amplitude"), "signal_amplitude"),
     ("estimate_psd", lambda x: estimate_psd(np.zeros(2**16), x), "sample_rate"),
     ("apply_kernel.sample_rate", lambda x: bandpass(np.zeros(16), sample_rate=x), "sample_rate"),
+    ("apply_kernel.flat.sample_rate", lambda x: flat(np.zeros(16), sample_rate=x), "sample_rate"),
     ("band_average.exclude_hz", lambda x: band_average(PSD, x, 2.0), "exclude_hz"),
     ("band_average.exclude_width_hz", lambda x: band_average(PSD, 100.0, x), "exclude_width_hz"),
     ("SnrSettings.input_total_db", levels("input_total_db"), "input_total_db"),
@@ -102,6 +108,11 @@ NUMBER_FIELDS = [
     ("pia_transfer_ratio", pia_transfer_ratio, "power_gain"),
     ("db_from_linear", db_from_linear, "value"),
     ("linear_from_db", linear_from_db, "level_db"),
+    # the dict layer
+    ("output_expansion", lambda x: output_expansion(P, x), "phi"),
+    ("SourceVariances", lambda x: SourceVariances({PHI_IN: x}), "variance for input_phase"),
+    ("QuadratureExpansion", lambda x: QuadratureExpansion({PHI_IN: x}),
+     "coefficient for input_phase"),
 ]
 
 # True, "1" and 10**400 are in range for every field once read as a float, so
@@ -292,7 +303,7 @@ def test_sweep_settings_checked(kwargs, name):
 
 
 def test_run_sweep_checks_formula_and_detected():
-    with pytest.raises(ValueError, match="unknown formula"):
+    with pytest.raises(ValueError, match="^formula must be one of"):
         run_sweep(P, 9, ["paper"])
     with pytest.raises(ValueError, match="^detected "):
         run_sweep(P, 9, "paper", "no")
@@ -300,8 +311,8 @@ def test_run_sweep_checks_formula_and_detected():
         SweepTrace(phase=[0.0], variance_linear=[1.0], variance_db=[0.0], detected="no")
 
 
-def flat(photocurrent, out=None):
-    return apply_kernel(FlatKernel(), photocurrent, P, 65536.0, out=out)
+def flat(photocurrent, out=None, sample_rate=65536.0):
+    return apply_kernel(FlatKernel(), photocurrent, P, sample_rate, out=out)
 
 
 def bandpass(photocurrent, out=None, sample_rate=65536.0, **kernel):
@@ -385,6 +396,13 @@ resonator_cases = pytest.mark.parametrize(
 def test_bandpass_kernel_refuses_unstable_resonator(fields, name):
     with pytest.raises(ValueError, match=rf"^{name} "):
         bandpass(np.zeros(16), **fields)
+
+
+@pytest.mark.parametrize("rate", [0.0, -5.0])
+def test_flat_kernel_refuses_non_positive_rate(rate):
+    # the flat kernel reads no rate, but it is held to the bandpass kernel's rule
+    with pytest.raises(ValueError, match=rf"^sample_rate must be > 0, got {rate}$"):
+        flat(np.ones(4), sample_rate=rate)
 
 
 @resonator_cases

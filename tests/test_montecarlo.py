@@ -29,7 +29,7 @@ from phaseff import (
     spectrum_from_modes,
 )
 from phaseff import montecarlo
-from phaseff.montecarlo import _CHUNK, MIN_SAMPLES, SEGMENT_COUNT, _substream
+from phaseff.montecarlo import _CHUNK, MAX_SAMPLES, MIN_SAMPLES, SEGMENT_COUNT, _substream
 
 FS = 65536.0
 DUR = 1.0  # 64 segments of 1024 samples
@@ -75,6 +75,13 @@ class TestSimConfig:
         assert (SEGMENT_COUNT, MIN_SAMPLES) == (64, 2**16)
         cfg = SimConfig(params=make_params(), sample_rate=65536.0, duration=1.0)
         assert cfg.n_samples == MIN_SAMPLES
+
+    def test_maximum_length_boundary(self):
+        # a config is only checked here: nothing is allocated
+        cfg = SimConfig(params=make_params(), sample_rate=65536.0, duration=2048.0)
+        assert cfg.n_samples == MAX_SAMPLES == 2**27
+        with pytest.raises(ValueError, match=r"^run too long: 1\.34218e\+08 samples"):
+            SimConfig(params=make_params(), sample_rate=65536.0, duration=2048.0 + 1 / 65536.0)
 
     def test_complex_gain_with_flat_kernel_rejected(self):
         # the rule is apply_kernel's: the config builds, and every run refuses it
