@@ -42,8 +42,10 @@ SPECTRUM_FORMULAS: Mapping[str, object] = {"paper": _closed_form, "coefficient":
 
 TRACE_HEADER = ("phase_rad", "variance_linear", "variance_db")
 
-# Most angles a sweep may have: checked before the grid is allocated, so an
-# oversized --points or sweep.points fails at once instead of exhausting memory.
+# Fewest and most angles a sweep may have: checked before the grid is
+# allocated, so an oversized --points or sweep.points fails at once instead of
+# exhausting memory.
+MIN_SWEEP_POINTS = 8
 MAX_SWEEP_POINTS = 1_000_000
 
 # Most angles the sweep subcommand evaluates one by one on Python floats,
@@ -64,11 +66,6 @@ _TWO_PI = 2.0 * math.pi
 def _check_bool(name: str, value) -> None:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
-
-
-def _check_formula(formula) -> None:
-    if not (isinstance(formula, str) and formula in SPECTRUM_FORMULAS):
-        raise ValueError(f"formula must be one of {sorted(SPECTRUM_FORMULAS)}, got {formula!r}")
 
 
 class SweepTrace(Record, eq=False):
@@ -128,18 +125,22 @@ class SnrSettings(Record):
 
 
 class SweepSettings(Record):
-    """Defaults of the sweep, spectrum and fit subcommands; their flags
-    override them."""
+    """One sweep request: the angle count, the spectrum formula and the
+    detection stage that every sweep, spectrum and fit evaluation reads.  The
+    config's sweep block gives it, and the subcommands' flags override it."""
 
     points: int = 361
     formula: str = "paper"
     detected: bool = False
 
     def __post_init__(self) -> None:
-        # the range of points is _check_points' to check
-        if isinstance(self.points, bool) or not isinstance(self.points, int):
-            raise ValueError(f"points must be an integer, got {self.points!r}")
-        _check_formula(self.formula)
+        n, low, high = self.points, MIN_SWEEP_POINTS, MAX_SWEEP_POINTS
+        if isinstance(n, bool) or not (isinstance(n, int) and low <= n <= high):
+            raise ValueError(f"points must be an integer from {low} to {high}, got {n!r}")
+        if not (isinstance(self.formula, str) and self.formula in SPECTRUM_FORMULAS):
+            raise ValueError(
+                f"formula must be one of {sorted(SPECTRUM_FORMULAS)}, got {self.formula!r}"
+            )
         _check_bool("detected", self.detected)
 
 
@@ -163,13 +164,6 @@ class _SweepColumns(Record):
     detected: bool
 
 
-def _check_points(n_points) -> None:
-    if not (isinstance(n_points, int) and 8 <= n_points <= MAX_SWEEP_POINTS):
-        raise ValueError(
-            f"n_points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {n_points!r}"
-        )
-
-
 def run_sweep(
     params: NetworkParams,
     n_points: int = 361,
@@ -177,9 +171,8 @@ def run_sweep(
     detected: bool = False,
 ) -> SweepTrace:
     """Evaluate the chosen spectrum formula on a uniform [0, 2*pi] grid of
-    8 to MAX_SWEEP_POINTS angles."""
-    _check_points(n_points)
-    level = _level(params, formula, detected)
+    MIN_SWEEP_POINTS to MAX_SWEEP_POINTS angles."""
+    level = _level(params, SweepSettings(n_points, formula, detected))
     phase = np.linspace(0.0, _TWO_PI, n_points)
     values = level(np.cos(phase), np.sin(phase), np)
     level_db = np.array([db_from_linear(v) for v in values])
@@ -188,30 +181,36 @@ def run_sweep(
     )
 
 
-def _sweep_columns(
-    params: NetworkParams, n_points: int, formula: str, detected: bool
-) -> _SweepColumns:
-    """run_sweep's columns, bit for bit, evaluated angle by angle with math:
-    linspace's grid is i * (2*pi / (n - 1)) with its last angle 2*pi, and
-    each formula and detected_variance give a Python float the bits of the
-    array element."""
-    _check_points(n_points)
-    level = _level(params, formula, detected)
-    step = _TWO_PI / (n_points - 1)
-    phase = [i * step for i in range(n_points - 1)] + [_TWO_PI]
+def _columns(trace: SweepTrace) -> _SweepColumns:
+    """A trace's columns as lists of Python floats: tolist() keeps every bit."""
+    return _SweepColumns(
+        trace.phase.tolist(), trace.variance_linear.tolist(), trace.variance_db.tolist(),
+        trace.detected,
+    )
+
+
+def _sweep_columns(params: NetworkParams, sweep: SweepSettings) -> _SweepColumns:
+    """run_sweep's columns, bit for bit.  Up to _SCALAR_SWEEP_MAX angles they
+    are evaluated one by one with math, loading no numpy: linspace's grid is
+    i * (2*pi / (n - 1)) with its last angle 2*pi, and each formula and
+    detected_variance give a Python float the bits of the array element."""
+    n = sweep.points
+    if n > _SCALAR_SWEEP_MAX:
+        return _columns(run_sweep(params, n, sweep.formula, sweep.detected))
+    level = _level(params, sweep)
+    step = _TWO_PI / (n - 1)
+    phase = [i * step for i in range(n - 1)] + [_TWO_PI]
     values = [level(math.cos(phi), math.sin(phi), math) for phi in phase]
     level_db = [db_from_linear(v) for v in values]
-    return _SweepColumns(phase, values, level_db, detected)
+    return _SweepColumns(phase, values, level_db, sweep.detected)
 
 
-def _level(params: NetworkParams, formula: str, detected: bool):
-    """Output quadrature variance by the named formula, as a function of
+def _level(params: NetworkParams, sweep: SweepSettings):
+    """Output quadrature variance by the sweep's formula, as a function of
     (cos phi, sin phi, module), read through the verification stage
-    (efficiency eta_det2) when detected."""
-    _check_formula(formula)
-    _check_bool("detected", detected)
-    level = SPECTRUM_FORMULAS[formula](params)
-    if not detected:
+    (efficiency eta_det2) when the sweep is detected."""
+    level = SPECTRUM_FORMULAS[sweep.formula](params)
+    if not sweep.detected:
         return level
     return lambda c, s, xp: detected_variance(level(c, s, xp), params.eta_det2)
 
@@ -247,19 +246,20 @@ def fit_gain(trace: SweepTrace, params: NetworkParams, formula: str = "paper") -
     end of the grid is an error, not a fit.  If the trace was recorded through
     the verification stage (trace.detected), the model is read the same way.
     """
-    if len(trace) < 8:
-        raise ValueError(f"trace has {len(trace)} points, need at least 8 to fit")
+    if len(trace) < MIN_SWEEP_POINTS:
+        raise ValueError(f"trace has {len(trace)} points, need at least {MIN_SWEEP_POINTS} to fit")
     span = float(trace.phase[-1] - trace.phase[0])
     if span < math.pi - 1e-12:
         raise ValueError(f"trace spans {span:.4f} rad, need at least half a period")
     spread = float(np.ptp(trace.variance_linear))
     if spread <= 1e-9 * float(np.max(np.abs(trace.variance_linear))):
         raise ValueError("degenerate trace: variance is flat, nothing to fit")
+    sweep = SweepSettings(formula=formula, detected=trace.detected)
     target = trace.variance_linear
     c, s = np.cos(trace.phase), np.sin(trace.phase)
 
     def objective(k: float) -> float:
-        residual = _level(params.with_gain(k), formula, trace.detected)(c, s, np) - target
+        residual = _level(params.with_gain(k), sweep)(c, s, np) - target
         return float(np.mean(residual * residual))
 
     grid = np.linspace(0.0, FIT_K_MAX, 201)
@@ -338,7 +338,7 @@ def _cell(value) -> str:
 def _render(obj, fmt: str) -> str:
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}, expected 'csv' or 'json'")
-    if isinstance(obj, (SweepTrace, _SweepColumns)):
+    if isinstance(obj, _SweepColumns):
         columns = (obj.phase, obj.variance_linear, obj.variance_db)
         if fmt == "csv":
             rows = (f"{_fmt(p)},{_fmt(v)},{_fmt(d)}" for p, v, d in zip(*columns))
@@ -382,8 +382,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def emit(obj, path: str, fmt: str) -> None:
-    """Serialize a SweepTrace or a flat report mapping to CSV or JSON."""
-    _atomic_write(path, _render(obj, fmt))
+    """Serialize a SweepTrace, its columns or a flat report mapping to CSV or JSON."""
+    _atomic_write(path, _render(_columns(obj) if isinstance(obj, SweepTrace) else obj, fmt))
 
 
 def load_trace_csv(path: str, detected: bool = False) -> SweepTrace:
@@ -501,7 +501,7 @@ def load_config(path: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.  Each returns a SweepTrace or a flat report dict, and main
+# Subcommands.  Each returns a sweep's columns or a flat report dict, and main
 # renders it: a trace as CSV and a report as JSON, unless --format is given.
 # ---------------------------------------------------------------------------
 
@@ -509,9 +509,7 @@ def load_config(path: str) -> RunConfig:
 def _cmd_spectrum(args, config: RunConfig) -> dict:
     sweep = config.sweep
     phi = _real("--phi", args.phi)
-    value = _level(config.network, sweep.formula, sweep.detected)(
-        math.cos(phi), math.sin(phi), math
-    )
+    value = _level(config.network, sweep)(math.cos(phi), math.sin(phi), math)
     return {
         "phi_rad": phi,
         "formula": sweep.formula,
@@ -521,10 +519,8 @@ def _cmd_spectrum(args, config: RunConfig) -> dict:
     }
 
 
-def _cmd_sweep(args, config: RunConfig):
-    sweep = config.sweep
-    run = _sweep_columns if sweep.points <= _SCALAR_SWEEP_MAX else run_sweep
-    return run(config.network, sweep.points, sweep.formula, sweep.detected)
+def _cmd_sweep(args, config: RunConfig) -> _SweepColumns:
+    return _sweep_columns(config.network, config.sweep)
 
 
 def _cmd_optimize(args, config: RunConfig) -> dict:
@@ -657,7 +653,8 @@ def _build_parser() -> argparse.ArgumentParser:
     subs["sweep"].add_argument(
         "--points",
         type=int,
-        help=f"number of sweep points, 8 to {MAX_SWEEP_POINTS} (default: config, else 361)",
+        help=f"number of sweep points, {MIN_SWEEP_POINTS} to {MAX_SWEEP_POINTS} "
+        "(default: config, else 361)",
     )
     subs["montecarlo"].add_argument(
         "--seed", type=int, help="override the config's simulation seed"
@@ -673,9 +670,12 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         flags = {name: getattr(args, name, None) for name in SweepSettings._fields}
-        sweep = config.sweep._replace(**{k: v for k, v in flags.items() if v is not None})
+        try:
+            sweep = config.sweep._replace(**{k: v for k, v in flags.items() if v is not None})
+        except ValueError as exc:  # argparse checks the others: "points must be ..."
+            raise ValueError(f"--{exc}") from None
         result = args.func(args, config._replace(sweep=sweep))
-        trace = isinstance(result, (SweepTrace, _SweepColumns))
+        trace = isinstance(result, _SweepColumns)
         fmt = args.format or ("csv" if trace else "json")
         if args.out:
             emit(result, args.out, fmt)

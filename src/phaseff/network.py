@@ -264,15 +264,9 @@ def transfer_ratio(params: NetworkParams) -> float:
     The input signal sits on unit (vacuum) noise.  At the output it is
     boosted by the signal power gain and read against the feed-forward noise
     floor, i.e. the phase variance with v_phase_in pinned to 1, so the ratio
-    does not depend on the signal power or on v_phase_in.  The floor is
-    phase_variance's mode sum with every variance 1, in its order.
+    does not depend on the signal power or on v_phase_in.
     """
-    weights = _phase_weights(params)
-    # left to right, as phase_variance adds: sum() compensates from Python 3.12
-    floor = 0.0
-    for weight in weights:
-        floor += weight
-    return weights[_INPUT_PHASE] / floor
+    return signal_power_gain(params) / phase_variance(params._replace(v_phase_in=1.0))
 
 
 def max_transfer_ratio(epsilon: float, eta_h: float, eta_d: float) -> float:

@@ -14,6 +14,7 @@ import pytest
 from phaseff import (
     NetworkParams,
     SnrSettings,
+    SweepSettings,
     SweepTrace,
     db_from_linear,
     detected_variance,
@@ -166,6 +167,25 @@ def test_simulation_block_checked_by_every_subcommand(tmp_path, capsys, command,
     assert capsys.readouterr() == ("", message)
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["optimize"], ["spectrum"], ["sweep"], ["snr"], ["montecarlo"], ["fit", "none.csv"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize(
+    "value", [7, MAX_SWEEP_POINTS + 1, True, 361.0, "361"],
+    ids=["7", "above-cap", "bool", "float", "string"],
+)
+def test_sweep_block_checked_by_every_subcommand(tmp_path, capsys, command, value):
+    # SweepSettings checks the block on load, before any subcommand runs
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edited("sweep", "points", value)))
+    assert main([*command, "--config", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: sweep.points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {value!r}\n"
+    )
+
+
 # (case id, config sweep block, flags, formula and detected the run must use)
 FLAG_PRECEDENCE = [
     ("formula-flag", {"formula": "paper", "detected": True}, ["--formula", "coefficient"],
@@ -229,7 +249,7 @@ def test_points_flag_checked_over_valid_config(tmp_path, capsys, flag):
     assert main(["sweep", "--config", str(config), "--points", flag]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "n_points" in captured.err
+    assert "--points" in captured.err
 
 
 @pytest.fixture
@@ -346,7 +366,7 @@ class TestRunSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"error: n_points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {10**12}\n"
+            f"error: --points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {10**12}\n"
         )
 
     def test_rejects_unknown_formula(self):
@@ -363,7 +383,7 @@ class TestRunSweep:
         spectrum = {"paper": spectrum_closed_form, "coefficient": spectrum_from_modes}[formula]
         for p in (BENCH, BENCH.with_gain(2.5 - 1.25j), BENCH.with_gain(-1.5)):
             for n in (8, 97, 361, cli._SCALAR_SWEEP_MAX):
-                got = cli._sweep_columns(p, n, formula, detected)
+                got = cli._sweep_columns(p, SweepSettings(n, formula, detected))
                 want = run_sweep(p, n, formula, detected)
                 assert got.detected is want.detected
                 for name in ("phase", "variance_linear", "variance_db"):
@@ -597,8 +617,17 @@ class TestCliCommands:
         n = cli._SCALAR_SWEEP_MAX + 1
         argv = ["sweep", "--config", config_path, "--points", str(n), "--format", fmt]
         assert main(argv) == 0
-        columns = cli._sweep_columns(BENCH, n, "paper", False)
+        columns = cli._sweep_columns(BENCH, SweepSettings(n, "paper", False))
         assert capsys.readouterr().out == cli._render(columns, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_emitted_trace_is_the_sweep_subcommand(self, tmp_path, capsys, config_path, fmt):
+        # emit renders a SweepTrace through the same lists as the subcommand
+        n = cli._SCALAR_SWEEP_MAX + 1
+        out = tmp_path / f"trace.{fmt}"
+        emit(run_sweep(BENCH, n), str(out), fmt)
+        assert main(["sweep", "--config", config_path, "--points", str(n), "--format", fmt]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_sweep_stdout_json_override(self, capsys, config_path):
         assert main(["sweep", "--config", config_path, "--format", "json", "--points", "9"]) == 0
