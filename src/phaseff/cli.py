@@ -313,18 +313,15 @@ def _fmt(value: float) -> str:
 
 
 def _value(value):
-    """A report value as both formats write it: a float cut to 12 significant
-    digits, a bool or a str as it is, an int as an int; anything else (None,
-    a complex, an array, a numpy bool) is a TypeError."""
+    """A report value as both formats write it: a float (float64 too) cut to
+    12 significant digits, a bool or a str as it is, an int as an int; anything
+    else (None, a complex, an array, another numpy scalar) is a TypeError."""
     if isinstance(value, float):
         return float(_fmt(value))
     if isinstance(value, (bool, str)):
         return value
-    # numpy types are tested last, so a report of plain values loads no numpy
-    if isinstance(value, int) or isinstance(value, np.integer):
+    if isinstance(value, int):
         return int(value)
-    if isinstance(value, np.floating):
-        return float(_fmt(value))
     raise TypeError(f"cannot serialize value of type {type(value).__name__}")
 
 
@@ -560,14 +557,9 @@ def _cmd_snr(args, config: RunConfig) -> dict:
 
 
 def _cmd_montecarlo(args, config: RunConfig) -> dict:
-    if config.simulation is None:
-        raise ValueError("config has no 'simulation' block")
     sim = config.simulation
-    if args.seed is not None:
-        try:
-            sim = sim._replace(seed=args.seed)
-        except ValueError as exc:  # only the seed changed: "seed must be ..."
-            raise ValueError(f"--{exc}") from None
+    if sim is None:
+        raise ValueError("config has no 'simulation' block")
     result = oracle_compare(sim, MC_ANGLES)
     report = {
         "seed": sim.seed,
@@ -600,8 +592,9 @@ def _cmd_fit(args, config: RunConfig) -> dict:
 
 
 # (subcommand, function, help); the spectrum, sweep and fit subcommands also
-# take --formula and --detected, and sweep takes --points: flags named after
-# the SweepSettings fields, which main folds into the config's sweep block.
+# take --formula and --detected, sweep takes --points and montecarlo --seed:
+# flags named after the SweepSettings and SimConfig fields, which main folds
+# into the config's sweep and simulation blocks.
 _COMMANDS = (
     ("spectrum", _cmd_spectrum, "output quadrature variance at one analysis angle"),
     ("sweep", _cmd_sweep, "variance trace over a full local-oscillator phase sweep"),
@@ -668,13 +661,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        flags = {name: getattr(args, name, None) for name in SweepSettings._fields}
-        try:
-            sweep = config.sweep._replace(**{k: v for k, v in flags.items() if v is not None})
-        except ValueError as exc:  # argparse checks the others: "points must be ..."
-            raise ValueError(f"--{exc}") from None
-        result = args.func(args, config._replace(sweep=sweep))
+        config, given = load_config(args.config), vars(args)
+        for block in ("sweep", "simulation"):  # a missing block is its command's error
+            record = getattr(config, block)
+            names = getattr(record, "_fields", ())
+            flags = {k: given[k] for k in names if given.get(k) is not None}
+            if flags:
+                try:  # argparse checks the types: "points must be ...", "seed must be ..."
+                    config = config._replace(**{block: record._replace(**flags)})
+                except ValueError as exc:
+                    raise ValueError(f"--{exc}") from None
+        result = args.func(args, config)
         trace = isinstance(result, _SweepColumns)
         fmt = args.format or ("csv" if trace else "json")
         if args.out:

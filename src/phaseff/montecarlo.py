@@ -156,9 +156,9 @@ class SimConfig(Record):
     """One Monte Carlo run.
 
     The optional coherent tone (signal_amplitude, signal_frequency) rides on
-    the input phase quadrature on top of its stochastic variance.  The seed
-    and a per-call trial index select independent, reproducible noise
-    realizations.
+    the input phase quadrature on top of its stochastic variance; a tone of
+    amplitude > 0 needs a frequency > 0.  The seed and a per-call trial
+    index select independent, reproducible noise realizations.
     """
 
     params: NetworkParams
@@ -173,6 +173,8 @@ class SimConfig(Record):
         for name in ("sample_rate", "duration", "signal_frequency", "signal_amplitude"):
             rule = ">=" if name.startswith("signal_") else ">"  # a tone may be absent
             object.__setattr__(self, name, _signed(name, getattr(self, name), rule))
+        if self.signal_amplitude > 0.0:
+            _signed("signal_frequency", self.signal_frequency)
         _below_nyquist("signal_frequency", self.signal_frequency, self.sample_rate)
         samples = self.duration * self.sample_rate  # inf if it overflows
         if not samples <= MAX_SAMPLES:
@@ -218,14 +220,9 @@ def _stream(name: str, value, size: int | None = None) -> None:
 
 
 def _check_out(out, *inputs: np.ndarray) -> None:
-    """Refuse an `out` that is not a stream of the inputs' length, or that
-    shares memory with an input without being that input element for
-    element: the chunked loops would read samples they had overwritten."""
-    _stream("out", out, inputs[0].size)
-    for x in inputs:
-        same = out.ctypes.data == x.ctypes.data and out.strides == x.strides
-        if not same and np.shares_memory(out, x):
-            raise ValueError("out must be an input itself or share no memory with it")
+    """Refuse a given `out` (not None) that is not one of the inputs itself."""
+    if out is not None and not any(out is x for x in inputs):
+        raise ValueError("out must be an input itself")
 
 
 class QuadratureStreams(Record, eq=False):
@@ -242,19 +239,18 @@ class QuadratureStreams(Record, eq=False):
     def at_angle(self, phi: float, out: np.ndarray | None = None) -> np.ndarray:
         """Projection cos(phi)*amplitude + sin(phi)*phase.
 
-        Written into `out` (a stream of the streams' length, which may be
-        amplitude or phase itself) if given, else into a new array, and
-        returned.  The projection runs a chunk of _CHUNK samples at a time,
-        so it holds one chunk's temporary besides the result, and gives the
-        bits of the whole-array expression.
+        Written into `out`, which must be amplitude or phase itself, if given,
+        else into a new array, and returned.  The projection runs a chunk of
+        _CHUNK samples at a time, reading each before `out` overwrites it, so
+        it holds one chunk's temporary besides the result, and gives the bits
+        of the whole-array expression.
         """
         phi = _real("phi", phi)
         c, s = math.cos(phi), math.sin(phi)
         n = self.amplitude.size
+        _check_out(out, self.amplitude, self.phase)
         if out is None:
             out = np.empty(n)
-        else:
-            _check_out(out, self.amplitude, self.phase)
         for start in range(0, n, _CHUNK):
             part = slice(start, start + _CHUNK)
             term = s * self.phase[part]  # taken before out may overwrite it
@@ -284,14 +280,12 @@ def apply_kernel(
     first use: neither scipy nor scipy.signal is imported, and importing
     phaseff and flat-kernel runs load numpy alone.
 
-    The result is written into `out` (a stream of the photocurrent's
-    length, which may be the photocurrent itself) if given, else into a new
-    array, and returned.
+    The result is written into `out`, which must be the photocurrent itself,
+    if given, else into a new array, and returned.
     """
     sample_rate = _signed("sample_rate", sample_rate)
     _stream("photocurrent", photocurrent)
-    if out is not None:
-        _check_out(out, photocurrent)
+    _check_out(out, photocurrent)
     if isinstance(kernel, FlatKernel):
         if params.gain.imag != 0.0:
             raise ValueError("flat kernel needs a real gain")
@@ -428,10 +422,11 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
 
     Chunk k of _CHUNK = 2^18 samples comes from the Philox substream keyed on
     (seed, trial) at counter k, and the chunks are filled on every usable
-    CPU, so the output is the same whatever the thread count.  The kernel
-    then runs over the whole photocurrent in order, carrying a causal
-    filter's state from chunk to chunk.
+    CPU, so the output is the same whatever the thread count.  The kernel,
+    checked before any noise is drawn, then runs over the whole photocurrent
+    in order, carrying a causal filter's state from chunk to chunk.
     """
+    apply_kernel(config.kernel, np.empty(0), config.params, config.sample_rate)
     n = config.n_samples
     amplitude = np.empty(n)
     photocurrent = np.empty(n)
@@ -549,17 +544,18 @@ def oracle_compare(config: SimConfig, angles: Sequence[float]) -> OracleReport:
     `angles`), band-averages its PSD, and flags each row by how many standard
     errors it sits from spectrum_from_modes; a row within SIGMA_BOUND passes.
     Requires the flat kernel, since the analytic model is single-frequency.
-    A configured tone is masked out of the band average.  Every angle is
-    checked before any noise is drawn.  Each realization is projected at its
-    angle chunk by chunk on every usable CPU, so the whole streams are never
-    held: a chunk's amplitude is written into the projected series and
-    projected over in place, so each thread holds the chunk's photocurrent
-    and phase and _chunk_streams' scratch row and two draw blocks.  The
-    rows equal those of
+    A configured tone is masked out of the band average.  Every angle and the
+    kernel are checked before any noise is drawn.  Each realization is
+    projected at its angle chunk by chunk on every usable CPU, so the whole
+    streams are never held: a chunk's amplitude is written into the projected
+    series and projected over in place, so each thread holds the chunk's
+    photocurrent and phase and _chunk_streams' scratch row and two draw
+    blocks.  The rows equal those of
     estimate_psd(simulate_streams(config, trial).at_angle(phi)) bit for bit.
     """
     if not isinstance(config.kernel, FlatKernel):
         raise ValueError("analytic comparison requires the flat kernel")
+    apply_kernel(config.kernel, np.empty(0), config.params, config.sample_rate)
     angles = [_real(f"angles[{i}]", phi) for i, phi in enumerate(angles)]
     if not angles:
         raise ValueError("angles must name at least one analysis angle")

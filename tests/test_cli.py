@@ -152,10 +152,12 @@ def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
          "need at most 134217728\n"),
         ("duration", 1e305, "error: simulation: run too long: inf samples, "
          "need at most 134217728\n"),
+        # a tone with no frequency would be sin(0) = 0: no tone at all
+        ("signal_amplitude", 0.5, "error: simulation: signal_frequency must be > 0, got 0.0\n"),
     ],
     ids=[
         "duration-zero", "sample-rate-string", "kernel-above-nyquist", "run-16384", "run-65535",
-        "run-1e12", "run-overflows",
+        "run-1e12", "run-overflows", "tone-without-frequency",
     ],
 )
 def test_simulation_block_checked_by_every_subcommand(tmp_path, capsys, command, key, value, message):
@@ -563,8 +565,8 @@ class TestEmitAndLoad:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "value",
-        [None, 1 + 2j, np.arange(3.0), np.bool_(True)],
-        ids=["none", "complex", "array", "numpy-bool"],
+        [None, 1 + 2j, np.arange(3.0), np.bool_(True), np.int64(-7), np.float32(0.1)],
+        ids=["none", "complex", "array", "numpy-bool", "numpy-int64", "numpy-float32"],
     )
     def test_report_formats_refuse_the_same_values(self, tmp_path, value, fmt):
         out = tmp_path / "report"
@@ -690,6 +692,13 @@ class TestCliCommands:
         assert data["all_pass"] is True
         assert data["segment_count"] == 64
         assert math.isclose(data["phi_2"], math.pi / 2.0, rel_tol=1e-9)
+
+    @pytest.mark.parametrize("flags", [[], ["--seed", "3"]], ids=["no-flag", "seed"])
+    def test_montecarlo_needs_a_simulation_block(self, tmp_path, capsys, flags):
+        path = tmp_path / "no_simulation.json"
+        path.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items() if k != "simulation"}))
+        assert main(["montecarlo", "--config", str(path), *flags]) == 1
+        assert capsys.readouterr() == ("", "error: config has no 'simulation' block\n")
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_montecarlo_bad_seed_names_the_flag(self, capsys, config_path, seed):

@@ -146,7 +146,9 @@ MC_NUMBER_FIELDS = [
     ("SimConfig.sample_rate", simulation("sample_rate"), "sample_rate", 65536),
     ("SimConfig.duration", simulation("duration"), "duration", 2),
     ("SimConfig.signal_frequency", simulation("signal_frequency"), "signal_frequency", 1000),
-    ("SimConfig.signal_amplitude", simulation("signal_amplitude"), "signal_amplitude", 3),
+    ("SimConfig.signal_amplitude",
+     lambda x: SimConfig(**SIM, signal_frequency=1000.0, signal_amplitude=x),
+     "signal_amplitude", 3),
     ("BandpassKernel.center_hz", kernel("center_hz"), "center_hz", 1000),
     ("BandpassKernel.bandwidth_hz", kernel("bandwidth_hz"), "bandwidth_hz", 100),
     ("BandpassKernel.gain", kernel("gain"), "gain", -2),
@@ -267,14 +269,10 @@ def test_numpy_gain_scalars_become_complex(gain):
     assert type(p.gain) is complex and p.gain == complex(gain)
 
 
-@pytest.mark.parametrize(
-    "value, want",
-    [(np.float32(0.1), 0.10000000149), (np.int64(-7), -7), (np.float64(1 / 3), 0.333333333333)],
-    ids=["float32", "int64", "float64"],
-)
-def test_report_value_maps_numpy_scalars(value, want):
-    got = _value(value)
-    assert type(got) is type(want) and got == want
+def test_report_value_maps_numpy_scalars():
+    # float64 is a float; every other numpy scalar is refused
+    got = _value(np.float64(1 / 3))
+    assert type(got) is float and got == 0.333333333333
 
 
 def test_report_value_refuses_numpy_bool():
@@ -352,6 +350,10 @@ STREAM_FIELDS = [
     ("projection-out-shifted", lambda: projection(SHIFTED[:10], SHIFTED[1:]), "out"),
     ("projection-out-float32", lambda: projection(np.ones(10), np.empty(10, np.float32)), "out"),
     ("flat-out-float32", lambda: flat(np.ones(10), out=np.empty(10, np.float32)), "out"),
+    # a separate buffer, even a stream of the right length, is refused: `out`
+    # is an input itself
+    ("flat-out-foreign", lambda: flat(np.ones(10), out=np.empty(10)), "out"),
+    ("projection-out-foreign", lambda: projection(np.ones(10), np.empty(10)), "out"),
     ("streams-int", lambda: QuadratureStreams(np.ones(10), np.ones(10, int)), "phase"),
     ("flat-list", lambda: flat([1.0] * 10), "photocurrent"),
     ("bandpass-int", lambda: bandpass(np.ones(10, int)), "photocurrent"),

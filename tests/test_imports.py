@@ -277,6 +277,19 @@ def test_scalar_commands_skip_csv(scalar_run):
     assert not loaded["csv"]
 
 
+def test_refused_report_value_loads_no_numpy(tmp_path):
+    code = (
+        "from phaseff.cli import emit\n"
+        "try:\n"
+        "    emit({'ok': 1.0, 'bad': None}, 'report.json', 'json')\n"
+        "except TypeError as exc:\n"
+        "    assert str(exc) == 'cannot serialize value of type NoneType', exc\n"
+        "else:\n"
+        "    raise AssertionError('None was serialized')\n"
+    )
+    assert not _loaded(code, tmp_path)["numpy"]
+
+
 def test_fit_loads_csv(tmp_path):
     trace = os.path.join(GOLDEN, "sweep.csv")
     code = (
