@@ -14,7 +14,6 @@ run.  Exits 1 if any angle falls outside them.  Takes about half a minute.
 """
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ def main() -> int:
     config = load_config(str(CONFIG))
     z = np.empty((len(SEEDS), len(MC_ANGLES)))
     for i, seed in enumerate(SEEDS):
-        sim = replace(config.simulation, seed=seed)
+        sim = config.simulation._replace(seed=seed)
         for j, row in enumerate(oracle_compare(sim, MC_ANGLES).rows):
             z[i, j] = (row.mc_variance - row.analytic_variance) / row.standard_error
 

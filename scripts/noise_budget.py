@@ -8,7 +8,6 @@ the comparison against an ideal phase-insensitive amplifier at equal gain.
 
 import argparse
 import math
-from dataclasses import replace
 
 from phaseff import (
     NetworkParams,
@@ -52,7 +51,7 @@ def main() -> int:
         eta_det2=args.eta_det2,
     )
 
-    floor = phase_variance(replace(params, v_phase_in=1.0))
+    floor = phase_variance(params._replace(v_phase_in=1.0))
     signal_level = spectrum_from_modes(params, math.pi / 2.0)
     amp_level = spectrum_from_modes(params, 0.0)
     gain_power = signal_power_gain(params)

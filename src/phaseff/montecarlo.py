@@ -19,8 +19,9 @@ from .network import NetworkParams, spectrum_from_modes
 
 # The analysis plan: every periodogram averages SEGMENT_COUNT segments of at
 # least MIN_SEGMENT samples, so a run or a series needs MIN_SAMPLES.  A run has
-# at most MAX_SAMPLES: a bandpass simulate_streams holds about 25 B per sample,
-# so 2^27 samples fit in 4 GiB, on every machine alike (free memory is not read).
+# at most MAX_SAMPLES: a bandpass simulate_streams holds about 17 B per sample
+# (2^22 samples on one CPU: its two streams and one chunk's rows), so 2^27
+# samples fit in about 2 GiB, on every machine alike (free memory is not read).
 SEGMENT_COUNT, MIN_SEGMENT = 64, 1024
 MIN_SAMPLES, MAX_SAMPLES = SEGMENT_COUNT * MIN_SEGMENT, 2**27
 
@@ -219,12 +220,6 @@ def _stream(name: str, value, size: int | None = None) -> None:
         raise ValueError(f"{name} has {value.size} samples, need {size}")
 
 
-def _check_out(out, *inputs: np.ndarray) -> None:
-    """Refuse a given `out` (not None) that is not one of the inputs itself."""
-    if out is not None and not any(out is x for x in inputs):
-        raise ValueError("out must be an input itself")
-
-
 class QuadratureStreams(Record, eq=False):
     """Output-beam quadrature time series, vacuum units: two streams of
     equal length."""
@@ -248,9 +243,10 @@ class QuadratureStreams(Record, eq=False):
         phi = _real("phi", phi)
         c, s = math.cos(phi), math.sin(phi)
         n = self.amplitude.size
-        _check_out(out, self.amplitude, self.phase)
         if out is None:
             out = np.empty(n)
+        elif out is not self.amplitude and out is not self.phase:
+            raise ValueError("out must be an input itself")
         for start in range(0, n, _CHUNK):
             part = slice(start, start + _CHUNK)
             term = s * self.phase[part]  # taken before out may overwrite it
@@ -259,50 +255,62 @@ class QuadratureStreams(Record, eq=False):
         return out
 
 
-def apply_kernel(
-    kernel: Kernel,
-    photocurrent: np.ndarray,
-    params: NetworkParams,
-    sample_rate: float,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Feed-forward electronics acting on the photocurrent stream.
+def _kernel_step(kernel: Kernel, params: NetworkParams, sample_rate: float):
+    """The kernel as a step over a photocurrent's chunks, once it and
+    sample_rate are checked: step(k, photocurrent, out) writes chunk k's
+    correction into out (the photocurrent itself, if wanted) and returns it.
 
-    The flat kernel is a pure scale by the network gain, which must be real.
-    The bandpass kernel is a causal IIR resonator, so its output at sample n
-    depends only on samples <= n.  Its coefficients are _peak_coefficients'
-    closed form, with the bits of scipy's iirpeak; sample_rate must put its
-    centre and bandwidth below Nyquist.  It runs a chunk of _CHUNK samples
-    at a time through scipy's compiled filter, the recursion lfilter calls,
-    and carries the resonator state from chunk to chunk, so it holds one
-    chunk's output besides the result and gives the bits of one whole-array
-    lfilter call.  Only that compiled extension is loaded, on the kernel's
-    first use: neither scipy nor scipy.signal is imported, and importing
-    phaseff and flat-kernel runs load numpy alone.
-
-    The result is written into `out`, which must be the photocurrent itself,
-    if given, else into a new array, and returned.
+    The flat kernel scales by the network gain, which must be real, and
+    never waits.  The bandpass kernel is a causal IIR resonator with
+    _peak_coefficients' (b, a), iirpeak's bits; its centre and bandwidth
+    must lie below Nyquist.  Its step runs scipy's compiled filter, the
+    recursion lfilter calls, loaded alone as the step is built, and carries
+    the two state values: it takes chunk k only after chunk k - 1, on any
+    thread, so its chunks give the bits of one whole-array lfilter call.  An
+    empty chunk, a failed draw's, only passes the turn on.
     """
     sample_rate = _signed("sample_rate", sample_rate)
-    _stream("photocurrent", photocurrent)
-    _check_out(out, photocurrent)
     if isinstance(kernel, FlatKernel):
         if params.gain.imag != 0.0:
             raise ValueError("flat kernel needs a real gain")
-        return np.multiply(params.gain.real, photocurrent, out=out)
+        return lambda chunk, photocurrent, out: np.multiply(params.gain.real, photocurrent, out=out)
     if isinstance(kernel, BandpassKernel):
         _resonator_domain(kernel, sample_rate)
         b, a = _peak_coefficients(kernel, sample_rate)
         linear_filter = _linear_filter()
-        if out is None:
-            out = np.empty_like(photocurrent)
-        state = np.zeros(max(len(a), len(b)) - 1)
-        for start in range(0, photocurrent.size, _CHUNK):
-            part = slice(start, start + _CHUNK)
-            block, state = linear_filter(b, a, photocurrent[part], -1, state)
-            np.multiply(kernel.gain, block, out=out[part])
-        return out
+        import threading
+
+        turn, state, next_chunk = threading.Condition(), np.zeros(2), 0
+
+        def step(chunk: int, photocurrent: np.ndarray, out: np.ndarray) -> np.ndarray:
+            nonlocal state, next_chunk
+            with turn:
+                turn.wait_for(lambda: next_chunk == chunk)
+                try:
+                    if photocurrent.size:
+                        photocurrent, state = linear_filter(b, a, photocurrent, -1, state)
+                finally:
+                    next_chunk = chunk + 1
+                    turn.notify_all()
+            return np.multiply(kernel.gain, photocurrent, out=out)
+
+        return step
     raise TypeError(f"unknown kernel type {type(kernel).__name__}")
+
+
+def apply_kernel(
+    kernel: Kernel, photocurrent: np.ndarray, params: NetworkParams, sample_rate: float
+) -> np.ndarray:
+    """The feed-forward correction to a photocurrent stream, in a new array:
+    _kernel_step's step run over the stream's chunks of _CHUNK samples in
+    order, so it holds one chunk's filter output besides the result."""
+    step = _kernel_step(kernel, params, sample_rate)
+    _stream("photocurrent", photocurrent)
+    out = np.empty_like(photocurrent)
+    for chunk, start in enumerate(range(0, photocurrent.size, _CHUNK)):
+        part = slice(start, start + _CHUNK)
+        step(chunk, photocurrent[part], out[part])
+    return out
 
 
 def _chunk_streams(
@@ -411,36 +419,59 @@ def _parallel(fn, count: int) -> None:
             pass
 
 
-def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
-    """Generate one realization of the output quadrature streams.
+def _realize(config: SimConfig, trial: int, rows, finish) -> None:
+    """One realization, the signal flow of simulate_streams and oracle_compare.
 
-    Fills the whole run from _chunk_streams, each chunk written straight
-    into its slices of the three streams, runs the photocurrent through the
-    kernel in place, and applies the correction to the transmitted beam's
-    phase quadrature.  Besides the streams, each filling thread holds its
-    chunk's scratch row and two draw blocks.
-
-    Chunk k of _CHUNK = 2^18 samples comes from the Philox substream keyed on
-    (seed, trial) at counter k, and the chunks are filled on every usable
-    CPU, so the output is the same whatever the thread count.  The kernel,
-    checked before any noise is drawn, then runs over the whole photocurrent
-    in order, carrying a causal filter's state from chunk to chunk.
+    The kernel is checked before any noise is drawn.  On every usable CPU,
+    _chunk_streams draws chunk k into rows(k); its photocurrent goes through
+    the kernel's step in place, the correction is added to its phase, and
+    finish(amplitude, phase) runs, all in the worker that drew the chunk.
+    Only a bandpass step waits, for the chunk before, so the output does not
+    depend on the thread count.
     """
-    apply_kernel(config.kernel, np.empty(0), config.params, config.sample_rate)
-    n = config.n_samples
-    amplitude = np.empty(n)
-    photocurrent = np.empty(n)
-    phase = np.empty(n)
+    step = _kernel_step(config.kernel, config.params, config.sample_rate)
 
-    def fill(chunk: int) -> None:
+    def run(chunk: int) -> None:
+        try:
+            amplitude, photocurrent, phase = _chunk_streams(config, trial, chunk, rows(chunk))
+        except BaseException:
+            step(chunk, np.empty(0), np.empty(0))  # passes the turn on: no chunk waits forever
+            raise
+        phase += step(chunk, photocurrent, photocurrent)
+        finish(amplitude, phase)
+
+    _parallel(run, -(-config.n_samples // _CHUNK))
+
+
+def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
+    """One realization of the output quadrature streams, through _realize:
+    each chunk is drawn into its slices of the two streams, with a
+    photocurrent row of its own."""
+    amplitude, phase = np.empty(config.n_samples), np.empty(config.n_samples)
+
+    def rows(chunk: int):
         part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
-        _chunk_streams(config, trial, chunk, (amplitude[part], photocurrent[part], phase[part]))
+        return amplitude[part], np.empty(amplitude[part].size), phase[part]
 
-    _parallel(fill, -(-n // _CHUNK))
-    phase += apply_kernel(
-        config.kernel, photocurrent, config.params, config.sample_rate, out=photocurrent
-    )
+    _realize(config, trial, rows, lambda amplitude, phase: None)
     return QuadratureStreams(amplitude=amplitude, phase=phase)
+
+
+def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
+    """simulate_streams(config, trial).at_angle(phi), bit for bit, holding
+    only the series whole: each chunk's amplitude is drawn into its slice
+    and projected over in place, beside a photocurrent and a phase row."""
+    series = np.empty(config.n_samples)
+
+    def rows(chunk: int):
+        amplitude = series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
+        return amplitude, np.empty(amplitude.size), np.empty(amplitude.size)
+
+    def project(amplitude: np.ndarray, phase: np.ndarray) -> None:
+        QuadratureStreams(amplitude, phase).at_angle(phi, out=amplitude)
+
+    _realize(config, trial, rows, project)
+    return series
 
 
 class PsdEstimate(Record, eq=False):
@@ -546,39 +577,18 @@ def oracle_compare(config: SimConfig, angles: Sequence[float]) -> OracleReport:
     Requires the flat kernel, since the analytic model is single-frequency.
     A configured tone is masked out of the band average.  Every angle and the
     kernel are checked before any noise is drawn.  Each realization is
-    projected at its angle chunk by chunk on every usable CPU, so the whole
-    streams are never held: a chunk's amplitude is written into the projected
-    series and projected over in place, so each thread holds the chunk's
-    photocurrent and phase and _chunk_streams' scratch row and two draw
-    blocks.  The rows equal those of
-    estimate_psd(simulate_streams(config, trial).at_angle(phi)) bit for bit.
+    _projection's series, so the whole streams are never held, and the rows
+    equal those of estimate_psd(simulate_streams(config, trial).at_angle(phi))
+    bit for bit.
     """
     if not isinstance(config.kernel, FlatKernel):
         raise ValueError("analytic comparison requires the flat kernel")
-    apply_kernel(config.kernel, np.empty(0), config.params, config.sample_rate)
     angles = [_real(f"angles[{i}]", phi) for i, phi in enumerate(angles)]
     if not angles:
         raise ValueError("angles must name at least one analysis angle")
-    n = config.n_samples
     rows = []
     for trial, phi in enumerate(angles):
-        # each chunk is projected as soon as it is drawn, so only the
-        # projected series is ever held whole
-        series = np.empty(n)
-
-        def fill(chunk: int) -> None:
-            # the series slice takes the amplitude, then its projection
-            amplitude = series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
-            buffers = (amplitude, np.empty(amplitude.size), np.empty(amplitude.size))
-            _, photocurrent, phase = _chunk_streams(config, trial, chunk, buffers)
-            phase += apply_kernel(
-                config.kernel, photocurrent, config.params, config.sample_rate, out=photocurrent
-            )
-            QuadratureStreams(amplitude, phase).at_angle(phi, out=amplitude)
-
-        _parallel(fill, -(-n // _CHUNK))
-        estimate = estimate_psd(series, config.sample_rate)
-        del series  # freed before the next angle allocates its own
+        estimate = estimate_psd(_projection(config, trial, phi), config.sample_rate)
         mc, se = band_average(
             estimate,
             exclude_hz=config.signal_frequency if config.signal_amplitude > 0.0 else None,

@@ -4,11 +4,12 @@ a sweep of up to cli._SCALAR_SWEEP_MAX points, which evaluate their formulas
 on Python floats with math, nor for the library's scalar formulas, nor
 for a montecarlo run too short for the analysis plan, refused on load;
 neither scipy nor scipy.signal loads at all: a bandpass kernel loads only
-scipy's compiled filter module, by file, and concurrent.futures loads only
-when a Monte Carlo run spans several chunks.  dataclasses (which loads
-inspect) loads only for a caller of its functions: phaseff's records are
-built on algebra.Record, which those functions still accept.  csv loads only
-for fit, which reads a trace with it; CSV output is written by hand.
+scipy's compiled filter module, by file, concurrent.futures loads only
+when a Monte Carlo run spans several chunks, and `import phaseff` loads no
+threading.  dataclasses (which loads inspect) loads only for a caller of its
+functions: phaseff's records are built on algebra.Record, which those
+functions still accept.  csv loads only for fit, which reads a trace with
+it; CSV output is written by hand.
 
 Each check starts a fresh interpreter, since the test process itself has
 long since imported everything.
@@ -66,6 +67,18 @@ def test_import_phaseff_skips_scipy(after_import):
 
 def test_import_phaseff_skips_concurrent_futures(after_import):
     assert not after_import["concurrent.futures"]
+
+
+def test_import_phaseff_skips_threading(tmp_path):
+    # without site, whose .pth files may import threading themselves; the
+    # bandpass kernel imports it only when its step is built
+    code = "import sys, phaseff\nprint('threading' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_import_phaseff_skips_dataclasses_and_inspect(after_import):
