@@ -678,7 +678,7 @@ def main(argv=None) -> int:
             emit(result, args.out, fmt)
         else:
             sys.stdout.write(_render(result, fmt))
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -314,15 +314,12 @@ def apply_kernel(
 
 
 def _chunk_streams(
-    config: SimConfig,
-    trial: int,
-    chunk: int,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    config: SimConfig, trial: int, chunk: int, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The signal flow over samples [chunk * _CHUNK, (chunk + 1) * _CHUNK) of a
     run: the output amplitude, the homodyne photocurrent and the output phase
-    before the feed-forward correction, written into `out` (three arrays of
-    the chunk's length) if given, else into new arrays, and returned.
+    before the feed-forward correction, written into `rows` (three arrays of
+    the chunk's length) and returned.
 
     With x the input phase scaled to v_phase_in (plus the coherent tone, on
     the run's time axis, if configured):
@@ -352,7 +349,7 @@ def _chunk_streams(
     transmitted, tapped = math.sqrt(eps), math.sqrt(1.0 - eps)
     start = chunk * _CHUNK
     n = min(start + _CHUNK, config.n_samples) - start
-    amplitude, photocurrent, phase = out or [np.empty(n) for _ in range(3)]
+    amplitude, photocurrent, phase = rows
     block, other = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
     rng = _substream(config.seed, trial, chunk)
     modes = iter(_MODE_ORDER)

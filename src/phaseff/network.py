@@ -245,6 +245,12 @@ def _check_unit_interval(name: str, value: float) -> float:
     return value
 
 
+def _loop_efficiencies(epsilon: float, eta_h: float, eta_d: float) -> list[float]:
+    """epsilon, eta_h and eta_d, each checked to lie in (0, 1]."""
+    named = zip(("epsilon", "eta_h", "eta_d"), (epsilon, eta_h, eta_d))
+    return [_check_unit_interval(name, value) for name, value in named]
+
+
 def ideal_gain(epsilon: float) -> float:
     """Gain that cancels the tap vacuum exactly when detection is lossless."""
     return optimal_gain(epsilon, 1.0, 1.0)
@@ -252,9 +258,7 @@ def ideal_gain(epsilon: float) -> float:
 
 def optimal_gain(epsilon: float, eta_h: float, eta_d: float) -> float:
     """Gain maximizing the SNR transfer ratio for lossy in-loop detection."""
-    epsilon = _check_unit_interval("epsilon", epsilon)
-    eta_h = _check_unit_interval("eta_h", eta_h)
-    eta_d = _check_unit_interval("eta_d", eta_d)
+    epsilon, eta_h, eta_d = _loop_efficiencies(epsilon, eta_h, eta_d)
     return math.sqrt(eta_h * eta_d * (1.0 - epsilon) / epsilon)
 
 
@@ -271,9 +275,7 @@ def transfer_ratio(params: NetworkParams) -> float:
 
 def max_transfer_ratio(epsilon: float, eta_h: float, eta_d: float) -> float:
     """Transfer ratio at the optimal gain: eps*(1 - eta_h*eta_d) + eta_h*eta_d."""
-    epsilon = _check_unit_interval("epsilon", epsilon)
-    eta_h = _check_unit_interval("eta_h", eta_h)
-    eta_d = _check_unit_interval("eta_d", eta_d)
+    epsilon, eta_h, eta_d = _loop_efficiencies(epsilon, eta_h, eta_d)
     eta = eta_h * eta_d
     return epsilon * (1.0 - eta) + eta
 

@@ -69,6 +69,9 @@ def edited(block, key, value):
     return config
 
 
+# a tap of 1e-300 at gain 1e5: the closed form's |1 + K g|^2 overflows
+TINY_TAP = {**BASE_CONFIG, "network": {**BASE_CONFIG["network"], "epsilon": 1e-300, "gain": 1e5}}
+
 # (case id, subcommand, config, text the error message must contain)
 MALFORMED_CONFIGS = [
     ("epsilon-bool", "optimize", edited("network", "epsilon", True), "network.epsilon"),
@@ -113,6 +116,12 @@ MALFORMED_CONFIGS = [
     ("top-level-not-object", "optimize", [BASE_CONFIG["network"]], "top-level"),
     ("network-not-object", "optimize", {"network": 0.2}, "network"),
     ("epsilon-out-of-range", "optimize", edited("network", "epsilon", 2.0), "network.epsilon"),
+    # values that load but overflow a float in the formulas
+    ("snr-level-overflows-power", "snr", edited("snr", "input_total_db", 4000.0), "out of range"),
+    *(
+        (f"closed-form-overflows-{command}", command, TINY_TAP, "out of range")
+        for command in ("spectrum", "sweep")
+    ),
 ]
 
 

@@ -414,6 +414,12 @@ def chunked_config(name, n_samples=5 * _CHUNK // 2, seed=31):
     )
 
 
+def chunk_streams(config, trial, chunk):
+    """_chunk_streams into three new rows the length of the run's chunk."""
+    n = min(config.n_samples - chunk * _CHUNK, _CHUNK)
+    return montecarlo._chunk_streams(config, trial, chunk, tuple(np.empty(n) for _ in range(3)))
+
+
 def untimed_draw():
     """One draw before tracemalloc starts, so a traced peak counts the run
     and not the lazy import of numpy.random on the process's first draw."""
@@ -485,7 +491,7 @@ class TestChunks:
 
         cfg = chunked_config("bandpass")
         kern = cfg.kernel
-        chunks = [montecarlo._chunk_streams(cfg, 2, chunk) for chunk in range(3)]
+        chunks = [chunk_streams(cfg, 2, chunk) for chunk in range(3)]
         amplitude, photocurrent, phase = (np.concatenate(rows) for rows in zip(*chunks))
         b, a = signal.iirpeak(kern.center_hz, kern.center_hz / kern.bandwidth_hz, fs=CHUNK_FS)
         phase += kern.gain * signal.lfilter(b, a, photocurrent)
@@ -537,8 +543,7 @@ class TestChunks:
                 want.append(band_average(est))
         assert [(row.mc_variance, row.standard_error) for row in report.rows] == want
 
-    @pytest.mark.parametrize("with_out", [False, True])
-    def test_chunk_streams_fold_the_whole_block_expressions(self, with_out):
+    def test_chunk_streams_fold_the_whole_block_expressions(self):
         # the modes are drawn one row at a time and folded in as they arrive;
         # the bits are those of one (7, length) draw and the three
         # expressions over it, here on a partial last chunk with a tone
@@ -564,45 +569,12 @@ class TestChunks:
             1.0 - eps
         ) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
         phase = math.sqrt(eps) * x - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
-        out = tuple(np.empty(stop - start) for _ in range(3)) if with_out else None
-        got = montecarlo._chunk_streams(cfg, trial, chunk, out)
+        outputs = tuple(np.empty(stop - start) for _ in range(3))
+        got = montecarlo._chunk_streams(cfg, trial, chunk, outputs)
         names = ("amplitude", "photocurrent", "phase")
         for name, g, want in zip(names, got, (amplitude, photocurrent, phase)):
             assert np.array_equal(g, want), name
-        if with_out:
-            assert all(g is o for g, o in zip(got, out))
-
-    @pytest.mark.parametrize("with_out, bound", [(False, 48.0), (True, 20.0)])
-    def test_chunk_streams_peak_memory_per_sample(self, monkeypatch, with_out, bound):
-        # two scratch rows (16 B per sample) besides the outputs (24 more when
-        # they are allocated); the whole (7, length) draw block took 72
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        cfg = chunked_config("flat")
-        out = tuple(np.empty(_CHUNK) for _ in range(3)) if with_out else None
-        untimed_draw()
-        tracemalloc.start()
-        try:
-            montecarlo._chunk_streams(cfg, 0, 1, out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / _CHUNK <= bound
-
-    def test_chunk_streams_with_tone_peak_memory_per_sample(self, monkeypatch):
-        # the tone's time axis is built in small blocks inside a scratch row,
-        # so a full chunk with a tone stays within the plain chunk's bound;
-        # an int64 index array the chunk's length took 8 B per sample more
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        cfg = chunked_config("tone")
-        out = tuple(np.empty(_CHUNK) for _ in range(3))
-        untimed_draw()
-        tracemalloc.start()
-        try:
-            montecarlo._chunk_streams(cfg, 0, 1, out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / _CHUNK <= 20.0
+        assert all(g is output for g, output in zip(got, outputs))
 
     @pytest.mark.parametrize("block", [1000, 4097, _CHUNK])
     def test_chunk_streams_do_not_depend_on_the_block_size(self, monkeypatch, block):
@@ -610,9 +582,9 @@ class TestChunks:
         # size, a whole row at a time included, gives the same bits; here on
         # a partial last chunk that is no whole number of blocks, with a tone
         cfg = chunked_config("tone", n_samples=2 * _CHUNK + 3 * montecarlo._BLOCK + 77)
-        want = montecarlo._chunk_streams(cfg, 4, 2)
+        want = chunk_streams(cfg, 4, 2)
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
-        got = montecarlo._chunk_streams(cfg, 4, 2)
+        got = chunk_streams(cfg, 4, 2)
         for name, g, w in zip(("amplitude", "photocurrent", "phase"), got, want):
             assert np.array_equal(g, w), name
 
@@ -622,19 +594,21 @@ class TestChunks:
         # (8 B per sample) and two draw blocks (2 more); two scratch rows took 16
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
         cfg = chunked_config(name)
-        out = tuple(np.empty(_CHUNK) for _ in range(3))
+        outputs = tuple(np.empty(_CHUNK) for _ in range(3))
         untimed_draw()
         tracemalloc.start()
         try:
-            montecarlo._chunk_streams(cfg, 0, 1, out)
+            montecarlo._chunk_streams(cfg, 0, 1, outputs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak / _CHUNK <= 11.0
 
     def test_one_chunk_oracle_holds_one_scratch_row(self, monkeypatch):
-        # the one-chunk three-angle run below, with one scratch row and two
-        # draw blocks in place of two scratch rows: 6 B per sample less
+        # a one-chunk run on one CPU: the projected series (8 B per sample),
+        # the chunk's photocurrent and phase (16), one scratch row and two
+        # draw blocks, and the periodogram rows; two scratch rows in place of
+        # the one row and two blocks took 6 B per sample more
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
         cfg = SimConfig(
             params=make_params(eta_h=0.9, eta_d=0.8, gain=2.0), sample_rate=FS,
@@ -648,24 +622,6 @@ class TestChunks:
         finally:
             tracemalloc.stop()
         assert peak / _CHUNK <= 36.0
-
-    def test_one_chunk_oracle_peak_memory_per_sample(self, monkeypatch):
-        # a one-chunk run on one CPU: the projected series (8 B per sample),
-        # the chunk's photocurrent and phase (16), two scratch rows (16) and
-        # the periodogram rows; the whole draw block and its temporaries took 80
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        cfg = SimConfig(
-            params=make_params(eta_h=0.9, eta_d=0.8, gain=2.0), sample_rate=FS,
-            duration=_CHUNK / FS, seed=3,
-        )
-        untimed_draw()
-        tracemalloc.start()
-        try:
-            oracle_compare(cfg, [0.0, 0.7, math.pi / 2.0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / _CHUNK <= 44.0
 
     def test_oracle_peak_memory_per_sample(self, monkeypatch):
         # one CPU holds the projected series (8 B per sample), the periodogram
@@ -723,12 +679,12 @@ class TestChunks:
         # a chunk whose draw fails still passes the resonator's turn on, so
         # the chunks after it finish and the run raises the draw's error; the
         # run is joined with a timeout, so a hang fails instead of stalling
-        chunk_streams = montecarlo._chunk_streams
+        original = montecarlo._chunk_streams
 
-        def failing(config, trial, chunk, out=None):
+        def failing(config, trial, chunk, rows):
             if chunk == 1:
                 raise MemoryError("chunk 1 failed")
-            return chunk_streams(config, trial, chunk, out)
+            return original(config, trial, chunk, rows)
 
         monkeypatch.setattr(montecarlo, "_chunk_streams", failing)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
