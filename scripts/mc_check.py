@@ -56,7 +56,7 @@ def bandpass_row() -> tuple[float, float, float]:
     near = slice(centre - HALF_BINS - 1, centre + HALF_BINS + 2)  # band_average drops both ends
     near_bins = PsdEstimate(est.frequencies[near], est.variance[near], est.standard_error[near])
     mc, se = band_average(near_bins)
-    at_kernel_gain = BANDPASS.params.with_gain(BANDPASS.kernel.gain)
+    at_kernel_gain = BANDPASS.params._replace(gain=BANDPASS.kernel.gain)
     analytic = float(spectrum_from_modes(at_kernel_gain, math.pi / 2.0))
     return mc, se, analytic
 

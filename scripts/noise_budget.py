@@ -76,7 +76,7 @@ def main() -> int:
     k_opt = optimal_gain(params.epsilon, params.eta_h1, params.eta_d1)
     print(f"  optimal gain              {k_opt:10.4f}")
     print(f"  T_s at configured gain    {transfer_ratio(params):10.5f}")
-    print(f"  T_s at optimal gain       {transfer_ratio(params.with_gain(k_opt)):10.5f}")
+    print(f"  T_s at optimal gain       {transfer_ratio(params._replace(gain=k_opt)):10.5f}")
     print(f"  T_s closed-form maximum   "
           f"{max_transfer_ratio(params.epsilon, params.eta_h1, params.eta_d1):10.5f}")
     if gain_power >= 1.0:

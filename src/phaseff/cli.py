@@ -17,7 +17,7 @@ import sys
 import tempfile
 from typing import Mapping
 
-from .algebra import Record, _real, db_from_linear, np
+from .algebra import Record, _real, db_from_linear, linear_from_db, np
 from .montecarlo import SEGMENT_COUNT, BandpassKernel, FlatKernel, SimConfig, oracle_compare
 from .network import (
     NetworkParams,
@@ -121,7 +121,14 @@ class SnrSettings(Record):
 
     def __post_init__(self) -> None:
         for name in self._fields:
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
+            level = _real(name, getattr(self, name))
+            try:
+                linear_from_db(level)
+            except OverflowError:
+                raise ValueError(
+                    f"{name} is too large: {level!r} dB overflows a float as a linear power"
+                ) from None
+            object.__setattr__(self, name, level)
 
 
 class SweepSettings(Record):
@@ -259,7 +266,7 @@ def fit_gain(trace: SweepTrace, params: NetworkParams, formula: str = "paper") -
     c, s = np.cos(trace.phase), np.sin(trace.phase)
 
     def objective(k: float) -> float:
-        residual = _level(params.with_gain(k), sweep)(c, s, np) - target
+        residual = _level(params._replace(gain=k), sweep)(c, s, np) - target
         return float(np.mean(residual * residual))
 
     grid = np.linspace(0.0, FIT_K_MAX, 201)
@@ -532,7 +539,7 @@ def _cmd_optimize(args, config: RunConfig) -> dict:
         "ideal_gain": ideal_gain(p.epsilon),
         "optimal_gain": k_opt,
         "max_transfer_ratio": max_transfer_ratio(p.epsilon, p.eta_h1, p.eta_d1),
-        "transfer_ratio_at_optimal_gain": transfer_ratio(p.with_gain(k_opt)),
+        "transfer_ratio_at_optimal_gain": transfer_ratio(p._replace(gain=k_opt)),
         "configured_gain_real": p.gain.real,
         "configured_gain_imag": p.gain.imag,
         "transfer_ratio_at_configured_gain": transfer_ratio(p),

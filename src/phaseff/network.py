@@ -204,9 +204,14 @@ def _closed_form(params: NetworkParams):
     # It equals signal_gain / eps, as loop_loss equals the summed weights of
     # the mismatch and detector columns (tests check both).  Taken from the
     # table instead, both round differently and move the pinned fit output.
-    ratio2 = abs(1.0 + k * math.sqrt(eh * ed * (1.0 - eps) / eps)) ** 2
     tap_phase = weights[_TAP_VACUUM_PHASE]
-    loop_loss = abs(k) ** 2 * (1.0 - ed * eh)
+    try:
+        ratio2 = abs(1.0 + k * math.sqrt(eh * ed * (1.0 - eps) / eps)) ** 2
+        loop_loss = abs(k) ** 2 * (1.0 - ed * eh)
+    except OverflowError:
+        raise ValueError(
+            f"gain {k!r} and epsilon {eps!r} overflow a float in the closed-form spectrum"
+        ) from None
 
     def level(c, s, xp):
         # squared by multiplication, as numpy squares an array: a float's ** 2

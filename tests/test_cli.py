@@ -117,9 +117,11 @@ MALFORMED_CONFIGS = [
     ("network-not-object", "optimize", {"network": 0.2}, "network"),
     ("epsilon-out-of-range", "optimize", edited("network", "epsilon", 2.0), "network.epsilon"),
     # values that load but overflow a float in the formulas
-    ("snr-level-overflows-power", "snr", edited("snr", "input_total_db", 4000.0), "out of range"),
+    ("snr-level-overflows-power", "snr", edited("snr", "input_total_db", 4000.0),
+     "snr.input_total_db is too large: 4000.0 dB"),
     *(
-        (f"closed-form-overflows-{command}", command, TINY_TAP, "out of range")
+        (f"closed-form-overflows-{command}", command, TINY_TAP,
+         "gain (100000+0j) and epsilon 1e-300 overflow")
         for command in ("spectrum", "sweep")
     ),
 ]

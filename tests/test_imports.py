@@ -11,20 +11,16 @@ built on algebra.Record, which those functions still accept.  csv loads
 only for fit, which reads a trace with it; CSV output is written by hand.
 
 Each check starts a fresh interpreter, since the test process itself has
-long since imported everything.
+long since imported everything.  The subcommand runs it checks are entries
+of the one table of byte pins, tests/test_golden.py's CASES.
 """
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src")
-EXAMPLE = os.path.join(ROOT, "configs", "example.json")
-GOLDEN = os.path.join(ROOT, "tests", "golden")
+from test_golden import CASES, CONFIG, GOLDEN, OUT, run_python
+
 LAZY = (
     "numpy", "scipy", "scipy.signal", "concurrent.futures", "dataclasses", "inspect", "csv",
 )
@@ -33,18 +29,22 @@ LAZY = (
 def _loaded(code: str, cwd) -> dict:
     """Run `code` in a fresh interpreter with src first on the path and say
     which of the lazily imported modules ended up in sys.modules."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     probe = (
         code
         + "\nimport json, sys\n"
         + f"print(json.dumps({{m: m in sys.modules for m in {LAZY!r}}}))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], cwd=cwd, env=env, capture_output=True, text=True
+    return json.loads(run_python(["-c", probe], cwd).splitlines()[-1])
+
+
+def _main_runs(names) -> str:
+    """Code that runs main on the named golden entries, stdout discarded and
+    an --out file written to the working directory under the entry's name."""
+    return "import contextlib, io\nfrom phaseff.cli import main\n" + "".join(
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({[name if arg == OUT else arg for arg in CASES[name]]!r}) == 0\n"
+        for name in names
     )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +72,7 @@ def test_import_phaseff_skips_threading(tmp_path):
     # without site, whose .pth files may import threading themselves; the
     # bandpass kernel imports it only when its step is built
     code = "import sys, phaseff\nprint('threading' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert run_python(["-S", "-c", code], tmp_path) == b"False\n"
 
 
 def test_import_phaseff_skips_dataclasses_and_inspect(after_import):
@@ -104,21 +99,14 @@ def test_asdict_of_an_snr_report_gives_its_fields(tmp_path):
 
 
 README_COMMANDS = [
-    ["optimize"],
-    ["spectrum", "--detected"],
-    ["sweep", "--out", "sweep.csv"],
-    ["fit", "sweep.csv", "--detected"],
-    ["snr"],
-    ["montecarlo", "--seed", "12"],
+    "optimize.json", "spectrum_detected.json", "sweep.csv", "fit.json", "snr.json",
+    "montecarlo_seed12.json",
 ]
 
 
 @pytest.fixture(scope="module")
 def after_cli(tmp_path_factory):
-    code = "from phaseff.cli import main\n" + "".join(
-        f"assert main({argv + ['--config', EXAMPLE]!r}) == 0\n" for argv in README_COMMANDS
-    )
-    return _loaded(code, tmp_path_factory.mktemp("cli"))
+    return _loaded(_main_runs(README_COMMANDS), tmp_path_factory.mktemp("cli"))
 
 
 def test_cli_commands_skip_scipy_signal(after_cli):
@@ -212,6 +200,8 @@ REFUSED_CONFIGS = [
      "error: simulation: run too long: inf samples, need at most 134217728\n"),
     ("sweep-of-5", {"sweep": {"points": 5}}, ["optimize", "sweep"],
      "error: sweep.points must be an integer from 8 to 1000000, got 5\n"),
+    ("snr-level-overflows", {"snr": {"input_total_db": 4000.0}}, ["optimize", "snr"],
+     "error: snr.input_total_db is too large: 4000.0 dB overflows a float as a linear power\n"),
 ]
 
 
@@ -221,7 +211,7 @@ REFUSED_CONFIGS = [
     ids=[case[0] for case in REFUSED_CONFIGS],
 )
 def test_refused_config_loads_no_numpy(tmp_path, edits, commands, message):
-    with open(EXAMPLE) as handle:
+    with open(CONFIG) as handle:
         config = json.load(handle)
     for block, values in edits.items():
         config[block].update(values)
@@ -254,63 +244,25 @@ def test_bandpass_kernel_shares_scipy_signal_filter(tmp_path, signal_first):
     assert _loaded(code, tmp_path)["scipy.signal"]
 
 
-# the scalar subcommands, each rendered to its golden files: optimize and snr
-# in both formats, spectrum with both formulas, detected and at --phi 0.7,
-# and the golden sweeps
-SCALAR_OUTPUTS = {
-    **{
-        f"{command}.{fmt}": [command, "--config", EXAMPLE, "--format", fmt]
-        for command in ("optimize", "snr")
-        for fmt in ("json", "csv")
-    },
-    **{
-        f"spectrum_{name}{suffix}.json": ["spectrum", "--config", EXAMPLE, *flags, *formula]
-        for name, flags in (("detected", ["--detected"]), ("phi0.7", ["--phi", "0.7"]))
-        for suffix, formula in (("", []), ("_coefficient", ["--formula", "coefficient"]))
-    },
-    "sweep.csv": ["sweep", "--config", EXAMPLE],
-    "sweep_coefficient.csv": ["sweep", "--config", EXAMPLE, "--formula", "coefficient"],
-    "sweep_97.csv": ["sweep", "--config", EXAMPLE, "--points", "97"],
-    "sweep_97_coefficient.csv": [
-        "sweep", "--config", EXAMPLE, "--points", "97", "--formula", "coefficient",
-    ],
-    "sweep_97.json": ["sweep", "--config", EXAMPLE, "--points", "97", "--format", "json"],
-}
-
-
 @pytest.fixture(scope="module")
 def scalar_run(tmp_path_factory):
-    """The scalar subcommands' stdout, written in a fresh interpreter into
-    files named after their golden files, and the modules loaded at exit."""
-    cwd = tmp_path_factory.mktemp("scalar")
-    code = "import contextlib\nfrom phaseff.cli import main\n" + "".join(
-        f"with open({name!r}, 'w') as out, contextlib.redirect_stdout(out):\n"
-        f"    assert main({argv!r}) == 0\n"
-        for name, argv in SCALAR_OUTPUTS.items()
-    )
-    return _loaded(code, cwd), cwd
-
-
-@pytest.mark.parametrize("name", sorted(SCALAR_OUTPUTS))
-def test_scalar_commands_match_golden_files(scalar_run, name):
-    _, cwd = scalar_run
-    with open(os.path.join(GOLDEN, name), "rb") as golden:
-        assert (cwd / name).read_bytes() == golden.read()
+    """The modules loaded once the golden entries of the scalar subcommands,
+    optimize, snr, spectrum and sweep, have run in a fresh interpreter."""
+    scalar = ("optimize", "snr", "spectrum", "sweep")
+    names = [name for name, argv in CASES.items() if argv[0] in scalar]
+    return _loaded(_main_runs(names), tmp_path_factory.mktemp("scalar"))
 
 
 def test_scalar_commands_skip_numpy(scalar_run):
-    loaded, _ = scalar_run
-    assert not loaded["numpy"]
+    assert not scalar_run["numpy"]
 
 
 def test_scalar_commands_skip_dataclasses_and_inspect(scalar_run):
-    loaded, _ = scalar_run
-    assert not loaded["dataclasses"] and not loaded["inspect"]
+    assert not scalar_run["dataclasses"] and not scalar_run["inspect"]
 
 
 def test_scalar_commands_skip_csv(scalar_run):
-    loaded, _ = scalar_run
-    assert not loaded["csv"]
+    assert not scalar_run["csv"]
 
 
 def test_refused_report_value_loads_no_numpy(tmp_path):
@@ -327,12 +279,12 @@ def test_refused_report_value_loads_no_numpy(tmp_path):
 
 
 def test_fit_loads_csv(tmp_path):
-    trace = os.path.join(GOLDEN, "sweep.csv")
+    trace = str(GOLDEN / "sweep.csv")
     code = (
         "import contextlib, io\n"
         "from phaseff.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert main(['fit', {trace!r}, '--config', {EXAMPLE!r}, '--detected']) == 0\n"
+        f"    assert main(['fit', {trace!r}, '--config', {CONFIG!r}, '--detected']) == 0\n"
     )
     assert _loaded(code, tmp_path)["csv"]
 
@@ -355,7 +307,7 @@ def test_scalar_formulas_skip_numpy(tmp_path):
 def test_long_sweep_loads_numpy(tmp_path):
     code = (
         "from phaseff.cli import _SCALAR_SWEEP_MAX, main\n"
-        f"argv = ['sweep', '--config', {EXAMPLE!r}, '--out', 'long.csv']\n"
+        f"argv = ['sweep', '--config', {CONFIG!r}, '--out', 'long.csv']\n"
         "assert main(argv + ['--points', str(_SCALAR_SWEEP_MAX + 1)]) == 0\n"
     )
     assert _loaded(code, tmp_path)["numpy"]
