@@ -142,11 +142,12 @@ def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
 
 
 # fit's trace need not exist: the config is loaded first
-@pytest.mark.parametrize(
-    "command",
-    [["optimize"], ["spectrum"], ["sweep"], ["snr"], ["montecarlo"], ["fit", "none.csv"]],
-    ids=lambda argv: argv[0],
-)
+EVERY_SUBCOMMAND = [
+    ["optimize"], ["spectrum"], ["sweep"], ["snr"], ["montecarlo"], ["fit", "none.csv"],
+]
+
+
+@pytest.mark.parametrize("command", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -180,11 +181,7 @@ def test_simulation_block_checked_by_every_subcommand(tmp_path, capsys, command,
     assert capsys.readouterr() == ("", message)
 
 
-@pytest.mark.parametrize(
-    "command",
-    [["optimize"], ["spectrum"], ["sweep"], ["snr"], ["montecarlo"], ["fit", "none.csv"]],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("command", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
 @pytest.mark.parametrize(
     "value", [7, MAX_SWEEP_POINTS + 1, True, 361.0, "361"],
     ids=["7", "above-cap", "bool", "float", "string"],
@@ -196,6 +193,19 @@ def test_sweep_block_checked_by_every_subcommand(tmp_path, capsys, command, valu
     assert main([*command, "--config", str(path)]) == 1
     assert capsys.readouterr() == (
         "", f"error: sweep.points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {value!r}\n"
+    )
+
+
+@pytest.mark.parametrize("command", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("key", list(BASE_CONFIG["snr"]))
+def test_snr_level_overflow_refused_by_every_subcommand(tmp_path, capsys, command, key):
+    # SnrSettings refuses, on load, a level whose linear power 10^(dB/10)
+    # overflows a float, in whichever of its four fields it stands
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edited("snr", key, 4000.0)))
+    assert main([*command, "--config", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: snr.{key} is too large: 4000.0 dB overflows a float as a linear power\n"
     )
 
 
