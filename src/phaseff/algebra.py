@@ -255,6 +255,12 @@ def db_from_linear(value: float) -> float:
     return 10.0 * math.log10(value)
 
 
-def linear_from_db(level_db: float) -> float:
-    """Inverse of db_from_linear."""
-    return 10.0 ** (_real("level_db", level_db) / 10.0)
+def linear_from_db(level_db: float, name: str = "level_db") -> float:
+    """Inverse of db_from_linear: a level that overflows is refused as `name`."""
+    level_db = _real(name, level_db)
+    try:
+        return 10.0 ** (level_db / 10.0)
+    except OverflowError:
+        raise ValueError(
+            f"{name} is too large: {level_db!r} dB overflows a float as a linear power"
+        ) from None

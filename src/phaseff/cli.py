@@ -122,12 +122,7 @@ class SnrSettings(Record):
     def __post_init__(self) -> None:
         for name in self._fields:
             level = _real(name, getattr(self, name))
-            try:
-                linear_from_db(level)
-            except OverflowError:
-                raise ValueError(
-                    f"{name} is too large: {level!r} dB overflows a float as a linear power"
-                ) from None
+            linear_from_db(level, name)  # refuses a level whose linear power overflows
             object.__setattr__(self, name, level)
 
 

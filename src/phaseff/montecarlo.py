@@ -231,34 +231,24 @@ class QuadratureStreams(Record, eq=False):
         _stream("amplitude", self.amplitude)
         _stream("phase", self.phase, self.amplitude.size)
 
-    def at_angle(self, phi: float, out: np.ndarray | None = None) -> np.ndarray:
-        """Projection cos(phi)*amplitude + sin(phi)*phase.
-
-        Written into `out`, which must be amplitude or phase itself, if given,
-        else into a new array, and returned.  The projection runs a chunk of
-        _CHUNK samples at a time, reading each before `out` overwrites it, so
-        it holds one chunk's temporary besides the result, and gives the bits
-        of the whole-array expression.
-        """
+    def at_angle(self, phi: float) -> np.ndarray:
+        """Projection cos(phi)*amplitude + sin(phi)*phase, in a new array, a
+        chunk of _CHUNK samples at a time: it holds one chunk's temporary
+        besides the result, and gives the bits of the whole-array expression."""
         phi = _real("phi", phi)
         c, s = math.cos(phi), math.sin(phi)
-        n = self.amplitude.size
-        if out is None:
-            out = np.empty(n)
-        elif out is not self.amplitude and out is not self.phase:
-            raise ValueError("out must be an input itself")
-        for start in range(0, n, _CHUNK):
+        out = np.empty(self.amplitude.size)
+        for start in range(0, out.size, _CHUNK):
             part = slice(start, start + _CHUNK)
-            term = s * self.phase[part]  # taken before out may overwrite it
             np.multiply(c, self.amplitude[part], out=out[part])
-            out[part] += term
+            out[part] += s * self.phase[part]
         return out
 
 
 def _kernel_step(kernel: Kernel, params: NetworkParams, sample_rate: float):
     """The kernel as a step over a photocurrent's chunks, once it and
-    sample_rate are checked: step(k, photocurrent, out) writes chunk k's
-    correction into out (the photocurrent itself, if wanted) and returns it.
+    sample_rate are checked: step(k, photocurrent) writes chunk k's
+    correction over that chunk of photocurrent and returns it.
 
     The flat kernel scales by the network gain, which must be real, and
     never waits.  The bandpass kernel is a causal IIR resonator with
@@ -273,7 +263,7 @@ def _kernel_step(kernel: Kernel, params: NetworkParams, sample_rate: float):
     if isinstance(kernel, FlatKernel):
         if params.gain.imag != 0.0:
             raise ValueError("flat kernel needs a real gain")
-        return lambda chunk, photocurrent, out: np.multiply(params.gain.real, photocurrent, out=out)
+        return lambda chunk, current: np.multiply(params.gain.real, current, out=current)
     if isinstance(kernel, BandpassKernel):
         _resonator_domain(kernel, sample_rate)
         b, a = _peak_coefficients(kernel, sample_rate)
@@ -282,17 +272,18 @@ def _kernel_step(kernel: Kernel, params: NetworkParams, sample_rate: float):
 
         turn, state, next_chunk = threading.Condition(), np.zeros(2), 0
 
-        def step(chunk: int, photocurrent: np.ndarray, out: np.ndarray) -> np.ndarray:
+        def step(chunk: int, photocurrent: np.ndarray) -> np.ndarray:
             nonlocal state, next_chunk
+            filtered = photocurrent
             with turn:
                 turn.wait_for(lambda: next_chunk == chunk)
                 try:
                     if photocurrent.size:
-                        photocurrent, state = linear_filter(b, a, photocurrent, -1, state)
+                        filtered, state = linear_filter(b, a, photocurrent, -1, state)
                 finally:
                     next_chunk = chunk + 1
                     turn.notify_all()
-            return np.multiply(kernel.gain, photocurrent, out=out)
+            return np.multiply(kernel.gain, filtered, out=photocurrent)
 
         return step
     raise TypeError(f"unknown kernel type {type(kernel).__name__}")
@@ -302,14 +293,13 @@ def apply_kernel(
     kernel: Kernel, photocurrent: np.ndarray, params: NetworkParams, sample_rate: float
 ) -> np.ndarray:
     """The feed-forward correction to a photocurrent stream, in a new array:
-    _kernel_step's step run over the stream's chunks of _CHUNK samples in
-    order, so it holds one chunk's filter output besides the result."""
+    _kernel_step's step run over a copy's chunks of _CHUNK samples in order,
+    so it holds one chunk's filter output besides the result."""
     step = _kernel_step(kernel, params, sample_rate)
     _stream("photocurrent", photocurrent)
-    out = np.empty_like(photocurrent)
-    for chunk, start in enumerate(range(0, photocurrent.size, _CHUNK)):
-        part = slice(start, start + _CHUNK)
-        step(chunk, photocurrent[part], out[part])
+    out = photocurrent.copy()
+    for chunk, start in enumerate(range(0, out.size, _CHUNK)):
+        step(chunk, out[start : start + _CHUNK])
     return out
 
 
@@ -432,9 +422,9 @@ def _realize(config: SimConfig, trial: int, rows, finish) -> None:
         try:
             amplitude, photocurrent, phase = _chunk_streams(config, trial, chunk, rows(chunk))
         except BaseException:
-            step(chunk, np.empty(0), np.empty(0))  # passes the turn on: no chunk waits forever
+            step(chunk, np.empty(0))  # passes the turn on: no chunk waits forever
             raise
-        phase += step(chunk, photocurrent, photocurrent)
+        phase += step(chunk, photocurrent)
         finish(amplitude, phase)
 
     _parallel(run, -(-config.n_samples // _CHUNK))
@@ -456,16 +446,19 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
 
 def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
     """simulate_streams(config, trial).at_angle(phi), bit for bit, holding
-    only the series whole: each chunk's amplitude is drawn into its slice
-    and projected over in place, beside a photocurrent and a phase row."""
+    only the series whole: each chunk's amplitude is drawn into its slice and
+    projected there in at_angle's two steps, beside a photocurrent and a
+    phase row, which takes sin(phi) * phase in place."""
     series = np.empty(config.n_samples)
+    c, s = math.cos(phi), math.sin(phi)
 
     def rows(chunk: int):
         amplitude = series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
         return amplitude, np.empty(amplitude.size), np.empty(amplitude.size)
 
     def project(amplitude: np.ndarray, phase: np.ndarray) -> None:
-        QuadratureStreams(amplitude, phase).at_angle(phi, out=amplitude)
+        amplitude *= c
+        amplitude += np.multiply(s, phase, out=phase)
 
     _realize(config, trial, rows, project)
     return series

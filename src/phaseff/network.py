@@ -40,6 +40,10 @@ class NetworkParams(Record):
         for name in ("epsilon", "eta_h1", "eta_d1", "eta_det2"):
             object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
         object.__setattr__(self, "gain", _complex("gain", self.gain))
+        if not math.isfinite(sum(_phase_weights(self))):  # the mode sum at v_phase_in = 1
+            raise ValueError(
+                f"gain {self.gain!r} is too large: the output phase variance overflows a float"
+            )
         v = _real("v_phase_in", self.v_phase_in)
         if not v >= 1.0:
             raise ValueError(f"v_phase_in must be >= 1 (vacuum units), got {v!r}")
@@ -342,8 +346,8 @@ def infer_snr(total_db: float, noise_db: float, eta: float) -> SnrInference:
         raise ValueError(
             f"total level {total_db} dB is below the noise level {noise_db} dB"
         )
-    total = linear_from_db(total_db)
-    noise = linear_from_db(noise_db)
+    total = linear_from_db(total_db, "total_db")
+    noise = linear_from_db(noise_db, "noise_db")
     vacuum_part = 1.0 - eta
     if not noise > vacuum_part:
         raise ValueError(

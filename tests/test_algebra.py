@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,12 @@ def test_db_from_linear_reference_points(linear, expected_db, tol):
 
 def test_linear_from_db_reference_point():
     assert math.isclose(linear_from_db(17.6), 57.54, abs_tol=5e-3)
+
+
+def test_linear_from_db_refuses_a_level_that_overflows():
+    message = "level_db is too large: 4000.0 dB overflows a float as a linear power"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        linear_from_db(4000)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-300])

@@ -29,6 +29,7 @@ from phaseff import (
 )
 from phaseff import cli
 from phaseff.cli import MAX_SWEEP_POINTS, main
+from test_golden import run_python
 
 V_IN = 10.0**0.86
 BENCH = NetworkParams(
@@ -69,144 +70,169 @@ def edited(block, key, value):
     return config
 
 
-# a tap of 1e-300 at gain 1e5: the closed form's |1 + K g|^2 overflows
-TINY_TAP = {**BASE_CONFIG, "network": {**BASE_CONFIG["network"], "epsilon": 1e-300, "gain": 1e5}}
+def without(block):
+    """A copy of BASE_CONFIG with no `block`."""
+    return {name: value for name, value in BASE_CONFIG.items() if name != block}
 
-# (case id, subcommand, config, text the error message must contain)
-MALFORMED_CONFIGS = [
-    ("epsilon-bool", "optimize", edited("network", "epsilon", True), "network.epsilon"),
-    ("epsilon-string", "optimize", edited("network", "epsilon", "0.2"), "network.epsilon"),
-    ("epsilon-missing", "optimize", edited("network", "epsilon", DELETE), "epsilon"),
-    ("snr-key-missing", "snr", edited("snr", "input_total_db", DELETE), "input_total_db"),
-    ("gain-pair-bool", "optimize", edited("network", "gain", [1, True]), "gain"),
-    ("detected-int", "sweep", edited("sweep", "detected", 1), "sweep.detected"),
-    ("points-float", "sweep", edited("sweep", "points", 4.0), "sweep.points"),
-    ("seed-bool", "montecarlo", edited("simulation", "seed", True), "simulation.seed"),
-    (
-        "flat-kernel-extra-keys",
-        "montecarlo",
-        edited("simulation", "kernel", {"type": "flat", "center_hz": 100.0}),
-        "kernel",
-    ),
-    (
-        "bandpass-kernel-missing-keys",
-        "montecarlo",
-        edited("simulation", "kernel", {"type": "bandpass", "bandwidth_hz": 10.0, "gain": 1.0}),
-        "center_hz",
-    ),
-    (
-        "kernel-type-unknown",
-        "montecarlo",
-        edited("simulation", "kernel", {"type": "lowpass"}),
-        "lowpass",
-    ),
-    (
-        "snr-level-overflows-float",
-        "snr",
-        edited("snr", "input_total_db", 10**400),
-        "snr.input_total_db",
-    ),
-    (
-        "epsilon-overflows-float",
-        "optimize",
-        edited("network", "epsilon", 10**400),
-        "network.epsilon",
-    ),
-    ("formula-list", "sweep", edited("sweep", "formula", ["paper"]), "sweep.formula"),
-    ("top-level-not-object", "optimize", [BASE_CONFIG["network"]], "top-level"),
-    ("network-not-object", "optimize", {"network": 0.2}, "network"),
-    ("epsilon-out-of-range", "optimize", edited("network", "epsilon", 2.0), "network.epsilon"),
-    # values that load but overflow a float in the formulas
-    ("snr-level-overflows-power", "snr", edited("snr", "input_total_db", 4000.0),
-     "snr.input_total_db is too large: 4000.0 dB"),
-    *(
-        (f"closed-form-overflows-{command}", command, TINY_TAP,
-         "gain (100000+0j) and epsilon 1e-300 overflow")
-        for command in ("spectrum", "sweep")
-    ),
+
+MISSING = object()  # a config path with no file
+EVERY = tuple(name for name, _, _ in cli._COMMANDS)  # every subcommand
+POINTS_RULE = f"points must be an integer from 8 to {MAX_SWEEP_POINTS}, got"
+
+# The one table of refused runs: (case id, config, flags, the subcommands that
+# refuse it, the one line each writes to stderr).  Every subcommand loads the
+# config and main folds the flags named after config fields before any
+# subcommand runs, so a refusal there is made by every subcommand, EVERY.
+REFUSALS = [
+    # the network block
+    ("epsilon-bool", edited("network", "epsilon", True), [], EVERY,
+     "error: network.epsilon must be a number, got True"),
+    ("epsilon-string", edited("network", "epsilon", "0.2"), [], EVERY,
+     "error: network.epsilon must be a number, got '0.2'"),
+    ("epsilon-missing", edited("network", "epsilon", DELETE), [], EVERY,
+     "error: missing keys in 'network' block: ['epsilon']"),
+    ("epsilon-overflows-float", edited("network", "epsilon", 10**400), [], EVERY,
+     "error: network.epsilon is too large for a float"),
+    ("epsilon-out-of-range", edited("network", "epsilon", 2.0), [], EVERY,
+     "error: network.epsilon must be in (0, 1], got 2.0"),
+    ("epsilan", edited("network", "epsilan", 0.2), [], EVERY,
+     "error: unknown keys in 'network' block: ['epsilan']"),
+    ("gain-pair-bool", edited("network", "gain", [1, True]), [], EVERY,
+     "error: network.gain[1] must be a number, got True"),
+    # the phase variance's mode sum overflows; the formulas would run on inf
+    ("gain-overflows", edited("network", "gain", 1e200), [], EVERY,
+     "error: network.gain (1e+200+0j) is too large: the output phase variance overflows a float"),
+    ("top-level-not-object", [BASE_CONFIG["network"]], [], EVERY,
+     "error: config block 'top-level' must be a JSON object"),
+    ("network-not-object", {"network": 0.2}, [], EVERY,
+     "error: config block 'network' must be a JSON object"),
+    ("config-missing", MISSING, [], EVERY,
+     "error: [Errno 2] No such file or directory: 'config-missing.json'"),
+    # the sweep block
+    ("detected-int", edited("sweep", "detected", 1), [], EVERY,
+     "error: sweep.detected must be true or false, got 1"),
+    ("formula-list", edited("sweep", "formula", ["paper"]), [], EVERY,
+     "error: sweep.formula must be one of ['coefficient', 'paper'], got ['paper']"),
+    *((f"points-{name}", edited("sweep", "points", value), [], EVERY,
+       f"error: sweep.{POINTS_RULE} {value!r}")
+      for name, value in [("7", 7), ("above-cap", MAX_SWEEP_POINTS + 1), ("bool", True),
+                          ("float", 361.0), ("string", "361")]),
+    # the simulation block, checked by SimConfig, whose errors name the block once
+    ("seed-bool", edited("simulation", "seed", True), [], EVERY,
+     "error: simulation.seed must be an integer in [0, 2^64), got True"),
+    ("duration-zero", edited("simulation", "duration", 0.0), [], EVERY,
+     "error: simulation.duration must be > 0, got 0.0"),
+    ("sample-rate-string", edited("simulation", "sample_rate", "1e5"), [], EVERY,
+     "error: simulation.sample_rate must be a number, got '1e5'"),
+    ("kernel-above-nyquist", edited("simulation", "kernel", {
+        "type": "bandpass", "center_hz": 1e5, "bandwidth_hz": 10.0, "gain": 1.0}), [], EVERY,
+     "error: simulation: center_hz 100000.0 Hz is at or above Nyquist (32768.0 Hz)"),
+    ("flat-kernel-extra-keys", edited("simulation", "kernel", {"type": "flat", "center_hz": 100.0}),
+     [], EVERY, "error: unknown keys in 'simulation.kernel' block: ['center_hz']"),
+    ("bandpass-kernel-missing-keys", edited("simulation", "kernel", {
+        "type": "bandpass", "bandwidth_hz": 10.0, "gain": 1.0}), [], EVERY,
+     "error: missing keys in 'simulation.kernel' block: ['center_hz']"),
+    ("kernel-type-unknown", edited("simulation", "kernel", {"type": "lowpass"}), [], EVERY,
+     "error: simulation.kernel.type must be one of ['bandpass', 'flat'], got 'lowpass'"),
+    # the analysis plan, 64 segments of at least 1,024 samples, cannot cut these
+    *((f"run-{n}", edited("simulation", "duration", n / 65536.0), [], EVERY,
+       f"error: simulation: run too short: {n} samples, need at least 65536 (64 segments of 1024)")
+      for n in (2**14, 2**16 - 1)),
+    # the run-size cap, 2^27 samples, refuses these: 1e12 s at 65,536 Hz,
+    # and 1e305 s, whose sample count overflows a float
+    *((f"run-{name}", edited("simulation", "duration", duration), [], EVERY,
+       f"error: simulation: run too long: {samples} samples, need at most 134217728")
+      for name, duration, samples in [("1e12", 1e12, "6.5536e+16"), ("overflows", 1e305, "inf")]),
+    # a tone with no frequency would be sin(0) = 0: no tone at all
+    ("tone-without-frequency", edited("simulation", "signal_amplitude", 0.5), [], EVERY,
+     "error: simulation: signal_frequency must be > 0, got 0.0"),
+    # the snr block: a level whose linear power 10^(dB/10) overflows a float,
+    # in whichever of its four fields it stands
+    ("snr-key-missing", edited("snr", "input_total_db", DELETE), [], EVERY,
+     "error: missing keys in 'snr' block: ['input_total_db']"),
+    ("snr-level-overflows-float", edited("snr", "input_total_db", 10**400), [], EVERY,
+     "error: snr.input_total_db is too large for a float"),
+    *((f"snr-{key}-overflows", edited("snr", key, 4000.0), [], EVERY,
+       f"error: snr.{key} is too large: 4000.0 dB overflows a float as a linear power")
+      for key in BASE_CONFIG["snr"]),
+    # flags, folded by main into their blocks or read by their subcommand
+    *((f"points-flag-{name}", BASE_CONFIG, ["--points", str(points)], ["sweep"],
+       f"error: --{POINTS_RULE} {points}")
+      for name, points in [("7", 7), ("0", 0), ("10^12", 10**12)]),
+    *((f"seed-flag-{name}", BASE_CONFIG, ["--seed", str(seed)], ["montecarlo"],
+       f"error: --seed must be an integer in [0, 2^64), got {seed}")
+      for name, seed in [("negative", -1), ("2^64", 2**64)]),
+    *((f"phi-{phi}", BASE_CONFIG, ["--phi", phi], ["spectrum"],
+       f"error: --phi must be finite, got {phi}") for phi in ("nan", "inf")),
+    # a block the subcommand needs, absent; a flag on it is left to the subcommand
+    ("snr-block-missing", without("snr"), [], ["snr"], "error: config has no 'snr' block"),
+    *((f"simulation-block-missing{suffix}", without("simulation"), flags, ["montecarlo"],
+       "error: config has no 'simulation' block")
+      for suffix, flags in [("", []), ("-seed-flag", ["--seed", "3"])]),
+    # values that load but overflow a float in the closed form: a tap of
+    # 1e-300 at gain 1e5 makes |1 + K g|^2 overflow; montecarlo's mode sum is finite
+    ("closed-form-overflows",
+     {**BASE_CONFIG, "network": {**BASE_CONFIG["network"], "epsilon": 1e-300, "gain": 1e5}},
+     [], ["spectrum", "sweep"],
+     "error: gain (100000+0j) and epsilon 1e-300 overflow a float in the closed-form spectrum"),
+    # only montecarlo runs the time domain, which needs a real gain
+    ("complex-gain", edited("network", "gain", [3.2, 0.5]), [], ["montecarlo"],
+     "error: flat kernel needs a real gain"),
 ]
 
+# rows refused once numpy has loaded: oracle_compare allocates its series
+# before the kernel refuses the gain.  The runs take them last.
+AFTER_NUMPY = {"complex-gain"}
+
+# main on each argv of runs.json, in this one interpreter: for each, the exit
+# code, stdout, stderr, whether its --out file (the last argument) exists and
+# the argv of the run that loaded numpy, if one has yet
+REFUSAL_RUNNER = """
+import contextlib, io, json, os, sys
+from phaseff.cli import main
+with open("runs.json") as handle:
+    runs = json.load(handle)
+results, numpy_by = [], None
+for argv in runs:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if numpy_by is None and "numpy" in sys.modules:
+        numpy_by = argv
+    results.append([code, out.getvalue(), err.getvalue(), os.path.exists(argv[-1]), numpy_by])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def refused_runs(tmp_path_factory):
+    """Every (row, subcommand) case of REFUSALS run in one fresh interpreter,
+    the AFTER_NUMPY rows last, with an --out file each: its REFUSAL_RUNNER
+    result by case id.  fit's trace need not exist: the config loads first."""
+    workdir = tmp_path_factory.mktemp("refusals")
+    runs = {}
+    for name, config, flags, commands, _ in sorted(REFUSALS, key=lambda row: row[0] in AFTER_NUMPY):
+        if config is not MISSING:
+            (workdir / f"{name}.json").write_text(json.dumps(config))
+        for command in commands:
+            head = [command, "none.csv"] if command == "fit" else [command]
+            out = f"{name}-{command}.out"
+            runs[f"{name}-{command}"] = [*head, "--config", f"{name}.json", *flags, "--out", out]
+    (workdir / "runs.json").write_text(json.dumps(list(runs.values())))
+    return dict(zip(runs, json.loads(run_python(["-c", REFUSAL_RUNNER], workdir))))
+
 
 @pytest.mark.parametrize(
-    "command, config, named",
-    [case[1:] for case in MALFORMED_CONFIGS],
-    ids=[case[0] for case in MALFORMED_CONFIGS],
+    "name, command, line",
+    [(row[0], command, row[4]) for row in REFUSALS for command in row[3]],
+    ids=[f"{row[0]}-{command}" for row in REFUSALS for command in row[3]],
 )
-def test_malformed_config_rejected(tmp_path, capsys, command, config, named):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(config))
-    assert main([command, "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert named in err
-
-
-# fit's trace need not exist: the config is loaded first
-EVERY_SUBCOMMAND = [
-    ["optimize"], ["spectrum"], ["sweep"], ["snr"], ["montecarlo"], ["fit", "none.csv"],
-]
-
-
-@pytest.mark.parametrize("command", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
-@pytest.mark.parametrize(
-    "key, value, message",
-    [
-        ("duration", 0.0, "error: simulation.duration must be > 0, got 0.0\n"),
-        ("sample_rate", "1e5", "error: simulation.sample_rate must be a number, got '1e5'\n"),
-        ("kernel", {"type": "bandpass", "center_hz": 1e5, "bandwidth_hz": 10.0, "gain": 1.0},
-         "error: simulation: center_hz 100000.0 Hz is at or above Nyquist (32768.0 Hz)\n"),
-        # the analysis plan, 64 segments of at least 1,024 samples, cannot cut these
-        *(("duration", n / 65536.0, f"error: simulation: run too short: {n} samples, "
-           "need at least 65536 (64 segments of 1024)\n") for n in (2**14, 2**16 - 1)),
-        # the run-size cap, 2^27 samples, refuses these: 1e12 s at 65,536 Hz,
-        # and 1e305 s, whose sample count overflows a float
-        ("duration", 1e12, "error: simulation: run too long: 6.5536e+16 samples, "
-         "need at most 134217728\n"),
-        ("duration", 1e305, "error: simulation: run too long: inf samples, "
-         "need at most 134217728\n"),
-        # a tone with no frequency would be sin(0) = 0: no tone at all
-        ("signal_amplitude", 0.5, "error: simulation: signal_frequency must be > 0, got 0.0\n"),
-    ],
-    ids=[
-        "duration-zero", "sample-rate-string", "kernel-above-nyquist", "run-16384", "run-65535",
-        "run-1e12", "run-overflows", "tone-without-frequency",
-    ],
-)
-def test_simulation_block_checked_by_every_subcommand(tmp_path, capsys, command, key, value, message):
-    # the block's values are checked by SimConfig itself, on load, and the
-    # error names the block once
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(edited("simulation", key, value)))
-    assert main([*command, "--config", str(path)]) == 1
-    assert capsys.readouterr() == ("", message)
-
-
-@pytest.mark.parametrize("command", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
-@pytest.mark.parametrize(
-    "value", [7, MAX_SWEEP_POINTS + 1, True, 361.0, "361"],
-    ids=["7", "above-cap", "bool", "float", "string"],
-)
-def test_sweep_block_checked_by_every_subcommand(tmp_path, capsys, command, value):
-    # SweepSettings checks the block on load, before any subcommand runs
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(edited("sweep", "points", value)))
-    assert main([*command, "--config", str(path)]) == 1
-    assert capsys.readouterr() == (
-        "", f"error: sweep.points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {value!r}\n"
-    )
-
-
-@pytest.mark.parametrize("command", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
-@pytest.mark.parametrize("key", list(BASE_CONFIG["snr"]))
-def test_snr_level_overflow_refused_by_every_subcommand(tmp_path, capsys, command, key):
-    # SnrSettings refuses, on load, a level whose linear power 10^(dB/10)
-    # overflows a float, in whichever of its four fields it stands
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(edited("snr", key, 4000.0)))
-    assert main([*command, "--config", str(path)]) == 1
-    assert capsys.readouterr() == (
-        "", f"error: snr.{key} is too large: 4000.0 dB overflows a float as a linear power\n"
-    )
+def test_refused_run(refused_runs, name, command, line):
+    # exit 1, nothing on stdout, the row's one stderr line, no --out file,
+    # and, before the AFTER_NUMPY rows, no numpy
+    code, out, err, written, numpy_by = refused_runs[f"{name}-{command}"]
+    assert (code, out, err, written) == (1, "", line + "\n", False)
+    assert name in AFTER_NUMPY or numpy_by is None, f"numpy loaded by phaseff {numpy_by}"
 
 
 # (case id, config sweep block, flags, formula and detected the run must use)
@@ -263,16 +289,6 @@ def test_points_flag_overrides_sweep_block(tmp_path, capsys, points, flags, rows
     config.write_text(json.dumps(edited("sweep", "points", points)))
     assert main(["sweep", "--config", str(config), *flags]) == 0
     assert len(capsys.readouterr().out.splitlines()) == rows + 1
-
-
-@pytest.mark.parametrize("flag", ["7", "0"])
-def test_points_flag_checked_over_valid_config(tmp_path, capsys, flag):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps(edited("sweep", "points", 361)))
-    assert main(["sweep", "--config", str(config), "--points", flag]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--points" in captured.err
 
 
 @pytest.fixture
@@ -379,18 +395,6 @@ class TestRunSweep:
         assert len(run_sweep(BENCH, n_points=100)) == 100
         with pytest.raises(ValueError, match="from 8 to 100,"):
             run_sweep(BENCH, n_points=101)
-
-    def test_oversized_points_flag_fails_before_allocating(self, monkeypatch, capsys, config_path):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("the grid must not be allocated")
-
-        monkeypatch.setattr("phaseff.cli.np.linspace", no_grid)
-        assert main(["sweep", "--config", config_path, "--points", str(10**12)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: --points must be an integer from 8 to {MAX_SWEEP_POINTS}, got {10**12}\n"
-        )
 
     def test_rejects_unknown_formula(self):
         with pytest.raises(ValueError, match="^formula must be one of"):
@@ -683,11 +687,6 @@ class TestCliCommands:
         summed = json.loads(capsys.readouterr().out)["variance_linear"]
         assert abs(summed - closed) > 5.0
 
-    @pytest.mark.parametrize("phi", ["nan", "inf"])
-    def test_spectrum_rejects_non_finite_phi(self, capsys, config_path, phi):
-        assert main(["spectrum", "--config", config_path, "--phi", phi]) == 1
-        assert capsys.readouterr().err == f"error: --phi must be finite, got {float(phi)!r}\n"
-
     def test_optimize_report(self, capsys, config_path):
         assert main(["optimize", "--config", config_path]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -714,20 +713,6 @@ class TestCliCommands:
         assert data["segment_count"] == 64
         assert math.isclose(data["phi_2"], math.pi / 2.0, rel_tol=1e-9)
 
-    @pytest.mark.parametrize("flags", [[], ["--seed", "3"]], ids=["no-flag", "seed"])
-    def test_montecarlo_needs_a_simulation_block(self, tmp_path, capsys, flags):
-        path = tmp_path / "no_simulation.json"
-        path.write_text(json.dumps({k: v for k, v in BASE_CONFIG.items() if k != "simulation"}))
-        assert main(["montecarlo", "--config", str(path), *flags]) == 1
-        assert capsys.readouterr() == ("", "error: config has no 'simulation' block\n")
-
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_montecarlo_bad_seed_names_the_flag(self, capsys, config_path, seed):
-        assert main(["montecarlo", "--config", config_path, "--seed", str(seed)]) == 1
-        assert capsys.readouterr() == (
-            "", f"error: --seed must be an integer in [0, 2^64), got {seed}\n"
-        )
-
     def test_fit_roundtrip_through_files(self, tmp_path, capsys, config_path):
         trace_path = tmp_path / "trace.csv"
         assert (
@@ -753,26 +738,12 @@ class TestCliCommands:
         assert captured.out == ""
         assert captured.err == f"error: {trace_path}:7: phase must be finite, got nan\n"
 
-    def test_missing_config_file_fails_cleanly(self, tmp_path, capsys):
-        rc = main(["optimize", "--config", str(tmp_path / "nope.json")])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("error:")
-
-    def test_invalid_config_key_fails_cleanly(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"network": {**BASE_CONFIG["network"], "epsilan": 0.2}}))
-        rc = main(["optimize", "--config", str(path)])
-        assert rc == 1
-        assert "epsilan" in capsys.readouterr().err
-
-    def test_complex_gain_fails_only_in_montecarlo(self, tmp_path, capsys):
-        # only montecarlo runs the time domain, which needs a real gain
+    def test_complex_gain_runs_in_optimize(self, tmp_path, capsys):
+        # the analytic formulas take a complex gain; montecarlo refuses it (REFUSALS)
         path = tmp_path / "complex.json"
         path.write_text(json.dumps(edited("network", "gain", [3.2, 0.5])))
         assert main(["optimize", "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["configured_gain_imag"] == 0.5
-        assert main(["montecarlo", "--config", str(path)]) == 1
-        assert "real gain" in capsys.readouterr().err
 
     def test_simulation_runs_the_configured_network(self, tmp_path):
         path = tmp_path / "complex.json"
@@ -795,19 +766,6 @@ class TestCliCommands:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == "error: Unable to allocate 7.28 TiB\n"
-
-    def test_snr_without_block_fails(self, tmp_path, capsys):
-        path = tmp_path / "nosnr.json"
-        path.write_text(json.dumps({"network": BASE_CONFIG["network"]}))
-        rc = main(["snr", "--config", str(path)])
-        assert rc == 1
-        assert "snr" in capsys.readouterr().err
-
-    def test_failed_run_leaves_no_partial_file(self, tmp_path, capsys, config_path):
-        out = tmp_path / "never.csv"
-        rc = main(["sweep", "--config", config_path, "--points", "4", "--out", str(out)])
-        assert rc == 1
-        assert not out.exists()
 
     def test_unknown_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as excinfo:

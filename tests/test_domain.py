@@ -318,16 +318,9 @@ def bandpass(photocurrent, sample_rate=65536.0, **kernel):
     return apply_kernel(kern, photocurrent, P, sample_rate)
 
 
-def projection(amplitude, out):
-    return QuadratureStreams(amplitude, np.zeros(10)).at_angle(0.3, out=out)
-
-
 def psd(series):
     return estimate_psd(series, 1024.0)
 
-
-# SHIFTED[:10] and SHIFTED[1:] overlap in nine samples
-SHIFTED = np.arange(11.0)
 
 # (case id, call with the array under test, the name its error must give).
 # A stream is a 1-D float64 array: the kernels and the projection work a chunk
@@ -341,13 +334,6 @@ STREAM_FIELDS = [
     ("flat-2d", lambda: flat(np.ones((2, 5))), "photocurrent"),
     ("flat-scalar", lambda: flat(1.0), "photocurrent"),
     ("bandpass-2d", lambda: bandpass(np.ones((2, 5))), "photocurrent"),
-    ("projection-out-length", lambda: projection(np.ones(10), np.empty(11)), "out"),
-    ("projection-out-2d", lambda: projection(np.ones(10), np.empty((10, 1))), "out"),
-    ("projection-out-shifted", lambda: projection(SHIFTED[:10], SHIFTED[1:]), "out"),
-    ("projection-out-float32", lambda: projection(np.ones(10), np.empty(10, np.float32)), "out"),
-    # a separate buffer, even a stream of the right length, is refused: `out`
-    # is an input itself
-    ("projection-out-foreign", lambda: projection(np.ones(10), np.empty(10)), "out"),
     ("streams-int", lambda: QuadratureStreams(np.ones(10), np.ones(10, int)), "phase"),
     ("flat-list", lambda: flat([1.0] * 10), "photocurrent"),
     ("bandpass-int", lambda: bandpass(np.ones(10, int)), "photocurrent"),

@@ -1,14 +1,15 @@
 """Import-path guard: numpy loads only when an array path runs, so not for
 `import phaseff` nor for the optimize, snr and spectrum subcommands, nor for
 a sweep of up to cli._SCALAR_SWEEP_MAX points, which evaluate their formulas
-on Python floats with math, nor for the library's scalar formulas, nor for
-a config refused on load; neither scipy nor scipy.signal loads at all: a
-bandpass kernel loads only scipy's compiled filter module, by file,
-concurrent.futures loads only when a Monte Carlo run spans several chunks,
-and `import phaseff` loads no threading.  dataclasses (which loads
-inspect) loads only for a caller of its functions: phaseff's records are
-built on algebra.Record, which those functions still accept.  csv loads
-only for fit, which reads a trace with it; CSV output is written by hand.
+on Python floats with math, nor for the library's scalar formulas, nor for a
+refused run (tests/test_cli.py's REFUSALS checks that); neither scipy nor
+scipy.signal loads at all: a bandpass kernel loads only scipy's compiled
+filter module, by file, concurrent.futures loads only when a Monte Carlo run
+spans several chunks, and `import phaseff` loads no threading.  dataclasses
+(which loads inspect) loads only for a caller of its functions: phaseff's
+records are built on algebra.Record, which those functions still accept.
+csv loads only for fit, which reads a trace with it; CSV output is written
+by hand.
 
 Each check starts a fresh interpreter, since the test process itself has
 long since imported everything.  The subcommand runs it checks are entries
@@ -180,50 +181,6 @@ def test_bandpass_kernel_refuses_a_filter_module_without_the_function(tmp_path):
         + "assert 'scipy.signal._sigtools' not in sys.modules\n"
     )
     assert not _loaded(code, tmp_path)["scipy"]
-
-
-# configs refused when they load, before numpy: (case id, edits to
-# configs/example.json as {block: {key: value}}, the subcommands that must
-# refuse them, the stderr of each)
-REFUSED_CONFIGS = [
-    # 16,384 samples: the analysis plan (64 segments of at least 1,024) cannot cut them
-    ("run-too-short", {"simulation": {"duration": 0.0625}}, ["optimize", "montecarlo"],
-     "error: simulation: run too short: 16384 samples, "
-     "need at least 65536 (64 segments of 1024)\n"),
-    ("tone-without-frequency", {"simulation": {"signal_amplitude": 0.5}},
-     ["optimize", "montecarlo"],
-     "error: simulation: signal_frequency must be > 0, got 0.0\n"),
-    ("run-too-long", {"simulation": {"duration": 1e12}}, ["optimize", "montecarlo"],
-     "error: simulation: run too long: 2.62144e+17 samples, need at most 134217728\n"),
-    ("run-overflows", {"simulation": {"sample_rate": 1e200, "duration": 1e200}},
-     ["optimize", "montecarlo"],
-     "error: simulation: run too long: inf samples, need at most 134217728\n"),
-    ("sweep-of-5", {"sweep": {"points": 5}}, ["optimize", "sweep"],
-     "error: sweep.points must be an integer from 8 to 1000000, got 5\n"),
-    ("snr-level-overflows", {"snr": {"input_total_db": 4000.0}}, ["optimize", "snr"],
-     "error: snr.input_total_db is too large: 4000.0 dB overflows a float as a linear power\n"),
-]
-
-
-@pytest.mark.parametrize(
-    "edits, commands, message",
-    [case[1:] for case in REFUSED_CONFIGS],
-    ids=[case[0] for case in REFUSED_CONFIGS],
-)
-def test_refused_config_loads_no_numpy(tmp_path, edits, commands, message):
-    with open(CONFIG) as handle:
-        config = json.load(handle)
-    for block, values in edits.items():
-        config[block].update(values)
-    (tmp_path / "refused.json").write_text(json.dumps(config))
-    code = "import contextlib, io\nfrom phaseff.cli import main\n" + "".join(
-        "err = io.StringIO()\n"
-        "with contextlib.redirect_stderr(err):\n"
-        f"    assert main([{command!r}, '--config', 'refused.json']) == 1\n"
-        f"assert err.getvalue() == {message!r}, err.getvalue()\n"
-        for command in commands
-    )
-    assert not _loaded(code, tmp_path)["numpy"]
 
 
 @pytest.mark.parametrize("signal_first", [False, True])

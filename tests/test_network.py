@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,9 @@ class TestNetworkParams:
         ("eta_d1", 0.0),
         ("eta_det2", 1.5),
         ("v_phase_in", 0.5),
+        # the output phase variance, the mode sum at v_phase_in = 1, overflows
+        ("gain", 1e155),
+        ("gain", -1e155 + 1e155j),
     ])
     def test_range_validation(self, field, value):
         kwargs = {"epsilon": 0.2, "eta_h1": 0.94, "eta_d1": 0.91, "gain": 1.0}
@@ -688,6 +692,11 @@ class TestInferSnr:
         r = infer_snr(3.7, 3.7, 0.9)
         assert r.detected == 0.0
         assert r.inferred == 0.0
+
+    def test_level_whose_linear_power_overflows_rejected(self):
+        message = "total_db is too large: 4000.0 dB overflows a float as a linear power"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            infer_snr(4000, 1.0, 0.9)
 
     def test_total_below_noise_rejected(self):
         with pytest.raises(ValueError):
