@@ -406,18 +406,16 @@ def _parallel(fn, count: int) -> None:
             pass
 
 
-def _realize(config: SimConfig, trial: int, rows, finish) -> None:
+def _realize(config: SimConfig, trial: int, step, rows, finish) -> None:
     """One realization, the signal flow of simulate_streams and oracle_compare.
 
-    The kernel is checked before any noise is drawn.  On every usable CPU,
-    _chunk_streams draws chunk k into rows(k); its photocurrent goes through
-    the kernel's step in place, the correction is added to its phase, and
-    finish(amplitude, phase) runs, all in the worker that drew the chunk.
-    Only a bandpass step waits, for the chunk before, so the output does not
-    depend on the thread count.
+    Their callers build the kernel's step, which checks it, before they
+    allocate a row.  On every usable CPU, _chunk_streams draws chunk k into
+    rows(k); its photocurrent goes through step in place, the correction is
+    added to its phase, and finish(amplitude, phase) runs, all in the worker
+    that drew the chunk.  Only a bandpass step waits, for the chunk before,
+    so the output does not depend on the thread count.
     """
-    step = _kernel_step(config.kernel, config.params, config.sample_rate)
-
     def run(chunk: int) -> None:
         try:
             amplitude, photocurrent, phase = _chunk_streams(config, trial, chunk, rows(chunk))
@@ -434,13 +432,14 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     """One realization of the output quadrature streams, through _realize:
     each chunk is drawn into its slices of the two streams, with a
     photocurrent row of its own."""
+    step = _kernel_step(config.kernel, config.params, config.sample_rate)
     amplitude, phase = np.empty(config.n_samples), np.empty(config.n_samples)
 
     def rows(chunk: int):
         part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
         return amplitude[part], np.empty(amplitude[part].size), phase[part]
 
-    _realize(config, trial, rows, lambda amplitude, phase: None)
+    _realize(config, trial, step, rows, lambda amplitude, phase: None)
     return QuadratureStreams(amplitude=amplitude, phase=phase)
 
 
@@ -449,6 +448,7 @@ def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
     only the series whole: each chunk's amplitude is drawn into its slice and
     projected there in at_angle's two steps, beside a photocurrent and a
     phase row, which takes sin(phi) * phase in place."""
+    step = _kernel_step(config.kernel, config.params, config.sample_rate)
     series = np.empty(config.n_samples)
     c, s = math.cos(phi), math.sin(phi)
 
@@ -460,7 +460,7 @@ def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
         amplitude *= c
         amplitude += np.multiply(s, phase, out=phase)
 
-    _realize(config, trial, rows, project)
+    _realize(config, trial, step, rows, project)
     return series
 
 

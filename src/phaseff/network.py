@@ -39,15 +39,17 @@ class NetworkParams(Record):
     def __post_init__(self) -> None:
         for name in ("epsilon", "eta_h1", "eta_d1", "eta_det2"):
             object.__setattr__(self, name, _check_unit_interval(name, getattr(self, name)))
-        object.__setattr__(self, "gain", _complex("gain", self.gain))
-        if not math.isfinite(sum(_phase_weights(self))):  # the mode sum at v_phase_in = 1
-            raise ValueError(
-                f"gain {self.gain!r} is too large: the output phase variance overflows a float"
-            )
         v = _real("v_phase_in", self.v_phase_in)
         if not v >= 1.0:
             raise ValueError(f"v_phase_in must be >= 1 (vacuum units), got {v!r}")
         object.__setattr__(self, "v_phase_in", v)
+        object.__setattr__(self, "gain", _complex("gain", self.gain))
+        weights = _phase_weights(self)
+        weights[_INPUT_PHASE] *= v  # the mode sum at the configured v_phase_in
+        if not math.isfinite(sum(weights)):
+            raise ValueError(
+                f"gain {self.gain!r} is too large: the output phase variance overflows a float"
+            )
 
     @property
     def eta1(self) -> float:

@@ -102,6 +102,9 @@ REFUSALS = [
     # the phase variance's mode sum overflows; the formulas would run on inf
     ("gain-overflows", edited("network", "gain", 1e200), [], EVERY,
      "error: network.gain (1e+200+0j) is too large: the output phase variance overflows a float"),
+    # ... at the configured v_phase_in, 10^0.86: the mode sum at 1 is finite
+    ("gain-overflows-at-v-phase-in", edited("network", "gain", 1e154), [], EVERY,
+     "error: network.gain (1e+154+0j) is too large: the output phase variance overflows a float"),
     ("top-level-not-object", [BASE_CONFIG["network"]], [], EVERY,
      "error: config block 'top-level' must be a JSON object"),
     ("network-not-object", {"network": 0.2}, [], EVERY,
@@ -180,10 +183,6 @@ REFUSALS = [
      "error: flat kernel needs a real gain"),
 ]
 
-# rows refused once numpy has loaded: oracle_compare allocates its series
-# before the kernel refuses the gain.  The runs take them last.
-AFTER_NUMPY = {"complex-gain"}
-
 # main on each argv of runs.json, in this one interpreter: for each, the exit
 # code, stdout, stderr, whether its --out file (the last argument) exists and
 # the argv of the run that loaded numpy, if one has yet
@@ -207,11 +206,11 @@ print(json.dumps(results))
 @pytest.fixture(scope="module")
 def refused_runs(tmp_path_factory):
     """Every (row, subcommand) case of REFUSALS run in one fresh interpreter,
-    the AFTER_NUMPY rows last, with an --out file each: its REFUSAL_RUNNER
-    result by case id.  fit's trace need not exist: the config loads first."""
+    with an --out file each: its REFUSAL_RUNNER result by case id.  fit's
+    trace need not exist: the config loads first."""
     workdir = tmp_path_factory.mktemp("refusals")
     runs = {}
-    for name, config, flags, commands, _ in sorted(REFUSALS, key=lambda row: row[0] in AFTER_NUMPY):
+    for name, config, flags, commands, _ in REFUSALS:
         if config is not MISSING:
             (workdir / f"{name}.json").write_text(json.dumps(config))
         for command in commands:
@@ -229,10 +228,10 @@ def refused_runs(tmp_path_factory):
 )
 def test_refused_run(refused_runs, name, command, line):
     # exit 1, nothing on stdout, the row's one stderr line, no --out file,
-    # and, before the AFTER_NUMPY rows, no numpy
+    # and no numpy
     code, out, err, written, numpy_by = refused_runs[f"{name}-{command}"]
     assert (code, out, err, written) == (1, "", line + "\n", False)
-    assert name in AFTER_NUMPY or numpy_by is None, f"numpy loaded by phaseff {numpy_by}"
+    assert numpy_by is None, f"numpy loaded by phaseff {numpy_by}"
 
 
 # (case id, config sweep block, flags, formula and detected the run must use)

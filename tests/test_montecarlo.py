@@ -3,6 +3,7 @@
 All statistical assertions run with fixed seeds, so they are deterministic.
 """
 
+import functools
 import math
 import sys
 import threading
@@ -418,6 +419,57 @@ def untimed_draw():
     _substream(0, 0).standard_normal()
 
 
+def _bandpass_streams():
+    kern = BandpassKernel(center_hz=5000.0, bandwidth_hz=500.0, gain=2.0)
+    cfg = SimConfig(
+        params=make_params(eta_h=0.9, eta_d=0.8), sample_rate=FS, duration=2**22 / FS,
+        kernel=kern, seed=3,
+    )
+    montecarlo._linear_filter()  # loads the filter before tracing
+    return functools.partial(simulate_streams, cfg)
+
+
+def _oracle_run(samples, angles, **params):
+    cfg = SimConfig(params=make_params(**params), sample_rate=FS, duration=samples / FS, seed=3)
+    return functools.partial(oracle_compare, cfg, angles)
+
+
+def _at_angle():
+    rng = np.random.Generator(np.random.Philox(key=np.array([19, 1], dtype=np.uint64)))
+    return functools.partial(QuadratureStreams(*rng.standard_normal((2, 2**22))).at_angle, 0.4)
+
+
+# The one table of traced memory peaks: (case id, build, samples, bound in B
+# per sample).  build() makes the inputs before tracing and returns the call
+# whose peak, on one CPU, after a first draw, divided by samples, is bounded.
+PEAKS = [
+    # besides its outputs a chunk holds the first detector vacuum's row
+    # (8 B per sample) and two draw blocks (2 more); two scratch rows took 16
+    *((f"chunk-streams-{name}", lambda name=name: functools.partial(
+        montecarlo._chunk_streams, chunked_config(name), 0, 1,
+        tuple(np.empty(_CHUNK) for _ in range(3)),
+    ), _CHUNK, 11.0) for name in ("flat", "tone")),
+    # a one-chunk run: the projected series (8 B per sample), the chunk's
+    # photocurrent and phase (16), one scratch row and two draw blocks, and
+    # the periodogram rows; two scratch rows in place of the one row and two
+    # blocks took 6 B per sample more
+    ("one-chunk-oracle",
+     lambda: _oracle_run(_CHUNK, [0.0, 0.7, math.pi / 2.0], eta_h=0.9, eta_d=0.8, gain=2.0),
+     _CHUNK, 36.0),
+    # the projected series (8 B per sample), the periodogram rows (about 4)
+    # and one chunk's four rows (its photocurrent, its phase and two scratch
+    # rows); three whole streams took 32
+    ("oracle", lambda: _oracle_run(2**22, [1.0], gain=2.0), 2**22, 20.0),
+    # the two streams (16 B per sample) and one chunk's rows: its
+    # photocurrent, its scratch row and the filter's output; the whole-run
+    # photocurrent it was filtered in took 8 more
+    ("bandpass-streams", _bandpass_streams, 2**22, 19.0),
+    # the projection (8 B per sample) and one chunk's temporary; two
+    # whole-array products took 16
+    ("at-angle", _at_angle, 2**22, 10.0),
+]
+
+
 class TestChunks:
     @pytest.mark.parametrize("name", sorted(CHUNKED_RUNS))
     def test_streams_independent_of_thread_count(self, monkeypatch, name):
@@ -580,91 +632,19 @@ class TestChunks:
         for name, g, w in zip(("amplitude", "photocurrent", "phase"), got, want):
             assert np.array_equal(g, w), name
 
-    @pytest.mark.parametrize("name", ["flat", "tone"])
-    def test_chunk_streams_hold_one_row_and_two_blocks(self, monkeypatch, name):
-        # besides its outputs a chunk holds the first detector vacuum's row
-        # (8 B per sample) and two draw blocks (2 more); two scratch rows took 16
+    @pytest.mark.parametrize("build, samples, bound", [row[1:] for row in PEAKS],
+                             ids=[row[0] for row in PEAKS])
+    def test_peak_memory_per_sample(self, monkeypatch, build, samples, bound):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        cfg = chunked_config(name)
-        outputs = tuple(np.empty(_CHUNK) for _ in range(3))
+        call = build()
         untimed_draw()
         tracemalloc.start()
         try:
-            montecarlo._chunk_streams(cfg, 0, 1, outputs)
+            call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / _CHUNK <= 11.0
-
-    def test_one_chunk_oracle_holds_one_scratch_row(self, monkeypatch):
-        # a one-chunk run on one CPU: the projected series (8 B per sample),
-        # the chunk's photocurrent and phase (16), one scratch row and two
-        # draw blocks, and the periodogram rows; two scratch rows in place of
-        # the one row and two blocks took 6 B per sample more
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        cfg = SimConfig(
-            params=make_params(eta_h=0.9, eta_d=0.8, gain=2.0), sample_rate=FS,
-            duration=_CHUNK / FS, seed=3,
-        )
-        untimed_draw()
-        tracemalloc.start()
-        try:
-            oracle_compare(cfg, [0.0, 0.7, math.pi / 2.0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / _CHUNK <= 36.0
-
-    def test_oracle_peak_memory_per_sample(self, monkeypatch):
-        # one CPU holds the projected series (8 B per sample), the periodogram
-        # rows (about 4) and one chunk's four rows (its photocurrent, its
-        # phase and two scratch rows); three whole streams took 32
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        n = 2**22
-        cfg = SimConfig(params=make_params(gain=2.0), sample_rate=FS, duration=n / FS, seed=3)
-        untimed_draw()
-        tracemalloc.start()
-        try:
-            oracle_compare(cfg, [1.0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / n <= 20.0
-
-    def test_bandpass_streams_peak_memory_per_sample(self, monkeypatch):
-        # one CPU holds the two streams (16 B per sample) and one chunk's
-        # rows: its photocurrent, its scratch row and the filter's output;
-        # the whole-run photocurrent it was filtered in took 8 more
-        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
-        n = 2**22
-        kern = BandpassKernel(center_hz=5000.0, bandwidth_hz=500.0, gain=2.0)
-        cfg = SimConfig(
-            params=make_params(eta_h=0.9, eta_d=0.8), sample_rate=FS, duration=n / FS,
-            kernel=kern, seed=3,
-        )
-        untimed_draw()
-        apply_kernel(kern, np.zeros(64), cfg.params, FS)  # loads the filter before tracing
-        tracemalloc.start()
-        try:
-            simulate_streams(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / n <= 19.0
-
-    def test_at_angle_peak_memory_per_sample(self):
-        # the projection (8 B per sample) and one chunk's temporary; two
-        # whole-array products took 16
-        n = 2**22
-        rng = np.random.Generator(np.random.Philox(key=np.array([19, 1], dtype=np.uint64)))
-        streams = QuadratureStreams(*rng.standard_normal((2, n)))
-        tracemalloc.start()
-        try:
-            streams.at_angle(0.4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / n <= 10.0
+        assert peak / samples <= bound
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_failing_chunk_raises(self, monkeypatch, cpus):
