@@ -18,7 +18,7 @@ import tempfile
 from typing import Mapping
 
 from .algebra import Record, _real, db_from_linear, linear_from_db, np
-from .montecarlo import SEGMENT_COUNT, BandpassKernel, FlatKernel, SimConfig, oracle_compare
+from .montecarlo import SEGMENT_COUNT, FlatKernel, SimConfig, oracle_compare
 from .network import (
     NetworkParams,
     SnrReport,
@@ -420,20 +420,17 @@ def load_trace_csv(path: str, detected: bool = False) -> SweepTrace:
 # ---------------------------------------------------------------------------
 # Config file parsing.  A block's keys are its record's fields, required
 # unless they have a default, and the record checks the values.  Only the
-# JSON encodings of a complex gain and of a kernel are decoded here.
+# JSON encoding of a complex gain is decoded here.
 # ---------------------------------------------------------------------------
 
 
-def _object(block, name: str) -> dict:
+def _checked(cls, block, name: str, skip=()) -> dict:
+    """One config block, once it is an object whose keys are those of record
+    cls less skip."""
     if not isinstance(block, dict):
         raise ValueError(f"config block {name!r} must be a JSON object")
-    return block
-
-
-def _checked(cls, block, name: str, skip=()) -> dict:
-    """One config block, once its keys are those of record cls less skip."""
     fields = set(cls._fields) - set(skip)
-    unknown = set(_object(block, name)) - fields
+    unknown = set(block) - fields
     if unknown:
         raise ValueError(f"unknown keys in {name!r} block: {sorted(unknown)}")
     missing = fields - set(cls._defaults) - set(block)
@@ -463,25 +460,15 @@ def _gain(value, label: str):
     return value
 
 
-_KERNELS = {"flat": FlatKernel, "bandpass": BandpassKernel}
-
-
-def _kernel(block, name: str):
-    """A kernel object: its "type" names the class, the other keys are its fields."""
-    kind = _object(block, name).get("type")
-    if not (isinstance(kind, str) and kind in _KERNELS):
-        raise ValueError(f"{name}.type must be one of {sorted(_KERNELS)}, got {kind!r}")
-    fields = {key: value for key, value in block.items() if key != "type"}
-    return _build(_KERNELS[kind], fields, name)
-
-
 def load_config(path: str) -> RunConfig:
     """Parse a JSON run config.
 
     Layout: a required "network" block, plus optional "sweep"
     (points/formula/detected), "simulation" (sample_rate/duration/seed/
-    signal_frequency/signal_amplitude/kernel), and "snr" (the four measured
-    dB levels) blocks.  Unknown keys anywhere are an error.
+    signal_frequency/signal_amplitude), and "snr" (the four measured dB
+    levels) blocks.  Unknown keys anywhere are an error, a "kernel" in the
+    simulation block too: montecarlo, the one subcommand that runs the
+    block, compares the flat kernel against the single-frequency model.
     """
     with open(path) as handle:
         data = json.load(handle)
@@ -492,7 +479,7 @@ def load_config(path: str) -> RunConfig:
         config["sweep"] = _build(SweepSettings, blocks["sweep"], "sweep")
     if "simulation" in blocks:
         config["simulation"] = _build(
-            SimConfig, blocks["simulation"], "simulation", {"kernel": _kernel}, params=network
+            SimConfig, blocks["simulation"], "simulation", params=network, kernel=FlatKernel()
         )
     if "snr" in blocks:
         config["snr"] = _build(SnrSettings, blocks["snr"], "snr")

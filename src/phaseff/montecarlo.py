@@ -286,7 +286,7 @@ def _kernel_step(kernel: Kernel, params: NetworkParams, sample_rate: float):
             return np.multiply(kernel.gain, filtered, out=photocurrent)
 
         return step
-    raise TypeError(f"unknown kernel type {type(kernel).__name__}")
+    raise ValueError(f"unknown kernel type {type(kernel).__name__}")
 
 
 def apply_kernel(

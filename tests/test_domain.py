@@ -387,6 +387,18 @@ def test_flat_kernel_refuses_non_positive_rate(rate):
         flat(np.ones(4), sample_rate=rate)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: SimConfig(**SIM, kernel=object()),
+     lambda: apply_kernel(object(), np.zeros(16), P, 65536.0)],
+    ids=["SimConfig", "apply_kernel"],
+)
+def test_unknown_kernel_refused(call):
+    # one refusal, of one type, wherever a kernel enters
+    with pytest.raises(ValueError, match="^unknown kernel type object$"):
+        call()
+
+
 @resonator_cases
 def test_sim_config_refuses_unstable_resonator(fields, name):
     # refused on construction, so before any noise is drawn
