@@ -128,11 +128,20 @@ REFUSALS = [
      "error: simulation.duration must be > 0, got 0.0"),
     ("sample-rate-string", edited("simulation", "sample_rate", "1e5"), [], EVERY,
      "error: simulation.sample_rate must be a number, got '1e5'"),
-    # montecarlo runs the flat kernel only, so the config format has no kernel
-    *((f"kernel-{name}", edited("simulation", "kernel", kernel), [], EVERY,
+    # montecarlo runs the flat kernel only, so the config format has no kernel:
+    # a kernel block is refused by its key, valid or not, before its contents
+    *((name, edited("simulation", "kernel", kernel), [], EVERY,
        "error: unknown keys in 'simulation' block: ['kernel']")
-      for name, kernel in [("flat", {"type": "flat"}), ("bandpass", {
-          "type": "bandpass", "center_hz": 1000.0, "bandwidth_hz": 100.0, "gain": 3.2})]),
+      for name, kernel in [
+          ("kernel-flat", {"type": "flat"}),
+          ("kernel-bandpass", {
+              "type": "bandpass", "center_hz": 1000.0, "bandwidth_hz": 100.0, "gain": 3.2}),
+          ("kernel-above-nyquist", {
+              "type": "bandpass", "center_hz": 1e5, "bandwidth_hz": 10.0, "gain": 1.0}),
+          ("flat-kernel-extra-keys", {"type": "flat", "center_hz": 100.0}),
+          ("bandpass-kernel-missing-keys", {
+              "type": "bandpass", "bandwidth_hz": 10.0, "gain": 1.0}),
+          ("kernel-type-unknown", {"type": "lowpass"})]),
     # the analysis plan, 64 segments of at least 1,024 samples, cannot cut these
     *((f"run-{n}", edited("simulation", "duration", n / 65536.0), [], EVERY,
        f"error: simulation: run too short: {n} samples, need at least 65536 (64 segments of 1024)")
