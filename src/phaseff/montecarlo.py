@@ -19,8 +19,9 @@ from .network import NetworkParams, spectrum_from_modes
 
 # The analysis plan: every periodogram averages SEGMENT_COUNT segments of at
 # least MIN_SEGMENT samples, so a run or a series needs MIN_SAMPLES.  A run has
-# at most MAX_SAMPLES: a bandpass simulate_streams holds about 17 B per sample
-# (2^22 samples on one CPU: its two streams and one chunk's rows), so 2^27
+# at most MAX_SAMPLES: a bandpass simulate_streams holds its two streams, 16 B
+# per sample, and on each worker one chunk's scratch set and filter output
+# (17.6 B per sample in all, traced at 2^22 samples on one CPU), so 2^27
 # samples fit in about 2 GiB, on every machine alike (free memory is not read).
 SEGMENT_COUNT, MIN_SEGMENT = 64, 1024
 MIN_SAMPLES, MAX_SAMPLES = SEGMENT_COUNT * MIN_SEGMENT, 2**27
@@ -39,6 +40,17 @@ _CHUNK = 2**18
 # Samples per block of a noise mode's draw (256 kB of float64, so a block
 # stays in L2 while it is folded into a chunk's sums).
 _BLOCK = 2**15
+
+
+def _mapped(shape, dtype=float) -> np.ndarray:
+    """np.empty(shape, dtype) in an anonymous mapping of its own.  Its pages
+    go back to the OS once the array and its views are dropped; a block the
+    allocator frees may stay in a thread's arena for reuse instead."""
+    import mmap
+
+    count = shape if isinstance(shape, int) else math.prod(shape)
+    buffer = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
 def _signed(name: str, value, rule: str = ">") -> float:
@@ -233,13 +245,13 @@ class QuadratureStreams(Record, eq=False):
 
     def at_angle(self, phi: float) -> np.ndarray:
         """Projection cos(phi)*amplitude + sin(phi)*phase, in a new array, a
-        chunk of _CHUNK samples at a time: it holds one chunk's temporary
+        block of _BLOCK samples at a time: it holds one block's temporary
         besides the result, and gives the bits of the whole-array expression."""
         phi = _real("phi", phi)
         c, s = math.cos(phi), math.sin(phi)
         out = np.empty(self.amplitude.size)
-        for start in range(0, out.size, _CHUNK):
-            part = slice(start, start + _CHUNK)
+        for start in range(0, out.size, _BLOCK):
+            part = slice(start, start + _BLOCK)
             np.multiply(c, self.amplitude[part], out=out[part])
             out[part] += s * self.phase[part]
         return out
@@ -303,8 +315,20 @@ def apply_kernel(
     return out
 
 
+def _chunk_scratch(n: int, spare: int = 0) -> tuple[np.ndarray, ...]:
+    """One worker's scratch for chunks of up to n samples, each array mapped
+    with _mapped: _chunk_streams' detector row and two draw blocks, then
+    `spare` rows for its caller."""
+    block = min(n, _BLOCK)
+    return (_mapped(n), _mapped(block), _mapped(block), *(_mapped(n) for _ in range(spare)))
+
+
 def _chunk_streams(
-    config: SimConfig, trial: int, chunk: int, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
+    config: SimConfig,
+    trial: int,
+    chunk: int,
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    scratch: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The signal flow over samples [chunk * _CHUNK, (chunk + 1) * _CHUNK) of a
     run: the output amplitude, the homodyne photocurrent and the output phase
@@ -328,10 +352,9 @@ def _chunk_streams(
     a time and each block is folded into the sums as it arrives, term by
     term from the left, so the bits are those of the three expressions over
     a whole draw block.  Only detector_vacuum_1 is held whole, until
-    detector_vacuum_2 arrives a row later, so a chunk holds one scratch row
-    and two blocks besides its outputs.  On the worker threads the allocator
-    keeps a chunk's peak for reuse, so this bounds what the threads add to
-    the process's peak memory.
+    detector_vacuum_2 arrives a row later.  That row and the two blocks are
+    the first three arrays of `scratch`, _chunk_scratch's, at least as long,
+    so the chunk allocates no array of its own.
     """
     p = config.params
     eps = p.epsilon
@@ -340,7 +363,7 @@ def _chunk_streams(
     start = chunk * _CHUNK
     n = min(start + _CHUNK, config.n_samples) - start
     amplitude, photocurrent, phase = rows
-    block, other = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK))
+    detectors, block, other = scratch[0][:n], scratch[1], scratch[2]
     rng = _substream(config.seed, trial, chunk)
     modes = iter(_MODE_ORDER)
 
@@ -357,9 +380,12 @@ def _chunk_streams(
     for part, x in draw(NoiseMode.INPUT_PHASE):
         x *= math.sqrt(p.v_phase_in)
         if config.signal_amplitude > 0.0:
-            # the run's sample indices as floats, each below 2^53, so exact
+            # the run's sample indices as floats, summed in place from the
+            # block's first, each below 2^53, so exact: arange's bits
             tone = other[: x.size]
-            tone[...] = np.arange(start + part.start, start + part.start + x.size, dtype=float)
+            tone.fill(1.0)
+            tone[0] = start + part.start
+            np.cumsum(tone, out=tone)
             tone /= config.sample_rate
             tone *= 2.0 * math.pi * config.signal_frequency
             np.sin(tone, out=tone)
@@ -380,7 +406,6 @@ def _chunk_streams(
     for part, mismatch in draw(NoiseMode.HOMODYNE_MISMATCH_PHASE):
         photocurrent[part] += np.multiply(math.sqrt(ed * (1.0 - eh)), mismatch, out=mismatch)
 
-    detectors = np.empty(n)
     for part, d1 in draw(NoiseMode.DETECTOR_VACUUM_1):
         detectors[part] = d1
     for part, d2 in draw(NoiseMode.DETECTOR_VACUUM_2):
@@ -389,78 +414,100 @@ def _chunk_streams(
     return amplitude, photocurrent, phase
 
 
-def _parallel(fn, count: int) -> None:
-    """Call fn(0), ..., fn(count - 1): in order when one CPU is usable, else
-    on a thread per usable CPU.  numpy releases the GIL while drawing, in the
-    ufuncs and in the FFT, so the calls run in parallel; each must write only
-    its own slice of shared output.  A failed call's exception is re-raised."""
+def _parallel(fn, count: int, scratch) -> None:
+    """Call fn(0, set), ..., fn(count - 1, set): in order when one CPU is
+    usable, else on a thread per usable CPU.  numpy releases the GIL while
+    drawing, in the ufuncs and in the FFT, so the calls run in parallel; each
+    must write only its own slice of shared output.  A failed call's
+    exception is re-raised.
+
+    Each call gets one of the scratch sets that scratch() builds, one per
+    worker, before any call runs; no two running calls share one, and a
+    call gives its set back as it returns or raises.  The sets are dropped
+    as _parallel returns: a set of _mapped arrays gives its pages back to
+    the OS then, where arrays a worker thread allocated itself could stay
+    in its allocator arena.
+    """
     workers = min(_usable_cpus(), count)
+    free = [scratch() for _ in range(workers)]
     if workers <= 1:
         for i in range(count):
-            fn(i)
+            fn(i, free[0])
         return
     from concurrent.futures import ThreadPoolExecutor
 
+    def call(i: int) -> None:
+        spare = free.pop()  # atomic, and with `workers` threads one set is free
+        try:
+            fn(i, spare)
+        finally:
+            free.append(spare)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(fn, range(count)):
+        for _ in pool.map(call, range(count)):
             pass
 
 
-def _realize(config: SimConfig, trial: int, step, rows, finish) -> None:
+def _realize(config: SimConfig, trial: int, step, rows, finish, spare: int) -> None:
     """One realization, the signal flow of simulate_streams and oracle_compare.
 
     Their callers build the kernel's step, which checks it, before they
     allocate a row.  On every usable CPU, _chunk_streams draws chunk k into
-    rows(k); its photocurrent goes through step in place, the correction is
-    added to its phase, and finish(amplitude, phase) runs, all in the worker
-    that drew the chunk.  Only a bandpass step waits, for the chunk before,
-    so the output does not depend on the thread count.
+    rows(k, own), where own is the `spare` rows that the worker's
+    _chunk_scratch set holds for the caller; its photocurrent goes through
+    step in place, the correction is added to its phase, and
+    finish(amplitude, phase) runs, all in the worker that drew the chunk.
+    Only a bandpass step waits, for the chunk before, so the output does not
+    depend on the thread count.
     """
-    def run(chunk: int) -> None:
+    def run(chunk: int, scratch) -> None:
         try:
-            amplitude, photocurrent, phase = _chunk_streams(config, trial, chunk, rows(chunk))
+            amplitude, photocurrent, phase = _chunk_streams(
+                config, trial, chunk, rows(chunk, scratch[3:]), scratch
+            )
         except BaseException:
             step(chunk, np.empty(0))  # passes the turn on: no chunk waits forever
             raise
         phase += step(chunk, photocurrent)
         finish(amplitude, phase)
 
-    _parallel(run, -(-config.n_samples // _CHUNK))
+    n = min(_CHUNK, config.n_samples)
+    _parallel(run, -(-config.n_samples // _CHUNK), lambda: _chunk_scratch(n, spare))
 
 
 def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     """One realization of the output quadrature streams, through _realize:
-    each chunk is drawn into its slices of the two streams, with a
-    photocurrent row of its own."""
+    each chunk is drawn into its slices of the two streams, with the
+    worker's photocurrent row."""
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
     amplitude, phase = np.empty(config.n_samples), np.empty(config.n_samples)
 
-    def rows(chunk: int):
+    def rows(chunk: int, spare):
         part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
-        return amplitude[part], np.empty(amplitude[part].size), phase[part]
+        return amplitude[part], spare[0][: amplitude[part].size], phase[part]
 
-    _realize(config, trial, step, rows, lambda amplitude, phase: None)
+    _realize(config, trial, step, rows, lambda amplitude, phase: None, 1)
     return QuadratureStreams(amplitude=amplitude, phase=phase)
 
 
 def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
     """simulate_streams(config, trial).at_angle(phi), bit for bit, holding
     only the series whole: each chunk's amplitude is drawn into its slice and
-    projected there in at_angle's two steps, beside a photocurrent and a
-    phase row, which takes sin(phi) * phase in place."""
+    projected there in at_angle's two steps, beside the worker's photocurrent
+    and phase rows, the latter taking sin(phi) * phase in place."""
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
     series = np.empty(config.n_samples)
     c, s = math.cos(phi), math.sin(phi)
 
-    def rows(chunk: int):
+    def rows(chunk: int, spare):
         amplitude = series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
-        return amplitude, np.empty(amplitude.size), np.empty(amplitude.size)
+        return amplitude, spare[0][: amplitude.size], spare[1][: amplitude.size]
 
     def project(amplitude: np.ndarray, phase: np.ndarray) -> None:
         amplitude *= c
         amplitude += np.multiply(s, phase, out=phase)
 
-    _realize(config, trial, step, rows, project)
+    _realize(config, trial, step, rows, project, 2)
     return series
 
 
@@ -480,10 +527,11 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     averages to 1.0 in every bin and a sinusoid of amplitude a centred on an
     interior bin contributes a^2 * m / 4 (m = segment length).  Standard
     errors come from the scatter of the per-segment periodograms.  The rows
-    are transformed in blocks of about _CHUNK samples on every usable CPU;
-    the result does not depend on the thread count.  A series with a NaN or
-    inf sample, or whose periodogram overflows, is refused once its bins are
-    formed, so the samples are never scanned.
+    are transformed in blocks of about _CHUNK samples on every usable CPU,
+    each into its worker's _mapped spectrum rows and from there, in place,
+    into the periodogram; the result does not depend on the thread count.
+    A series with a NaN or inf sample, or whose periodogram overflows, is
+    refused once its bins are formed, so the samples are never scanned.
     """
     _stream("series", series)
     sample_rate = _signed("sample_rate", sample_rate)
@@ -493,14 +541,17 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     periodograms = np.empty((SEGMENT_COUNT, seg_len // 2 + 1))
     per_block = max(1, _CHUNK // seg_len)  # at least one segment per block
 
-    def fill_rows(block: int) -> None:
+    def fill_rows(block: int, spectra: np.ndarray) -> None:
         part = slice(block * per_block, (block + 1) * per_block)
+        rows = periodograms[part]
         # a non-finite sample is refused below, once, not warned of here too;
         # numpy's error state is per thread, so it is set on each worker
         with np.errstate(invalid="ignore", over="ignore"):
-            periodograms[part] = np.abs(np.fft.rfft(segments[part], axis=1)) ** 2 / seg_len
+            z = np.fft.rfft(segments[part], axis=1, out=spectra[: len(rows)])
+            np.true_divide(np.square(np.abs(z, out=rows), out=rows), seg_len, out=rows)
 
-    _parallel(fill_rows, -(-SEGMENT_COUNT // per_block))
+    shape = (min(per_block, SEGMENT_COUNT), periodograms.shape[1])
+    _parallel(fill_rows, -(-SEGMENT_COUNT // per_block), lambda: _mapped(shape, complex))
     variance = periodograms.mean(axis=0)
     if not np.isfinite(variance).all():
         raise ValueError("series has non-finite PSD bins: a NaN or inf sample, or overflow")

@@ -408,9 +408,11 @@ def chunked_config(name, n_samples=5 * _CHUNK // 2, seed=31):
 
 
 def chunk_streams(config, trial, chunk):
-    """_chunk_streams into three new rows the length of the run's chunk."""
+    """_chunk_streams into three new rows the length of the run's chunk,
+    with a scratch set of that length."""
     n = min(config.n_samples - chunk * _CHUNK, _CHUNK)
-    return montecarlo._chunk_streams(config, trial, chunk, tuple(np.empty(n) for _ in range(3)))
+    rows = tuple(np.empty(n) for _ in range(3))
+    return montecarlo._chunk_streams(config, trial, chunk, rows, montecarlo._chunk_scratch(n))
 
 
 def untimed_draw():
@@ -439,20 +441,27 @@ def _at_angle():
     return functools.partial(QuadratureStreams(*rng.standard_normal((2, 2**22))).at_angle, 0.4)
 
 
+def _chunk_streams_with_scratch(name):
+    rows = tuple(np.empty(_CHUNK) for _ in range(3))
+    return lambda: montecarlo._chunk_streams(
+        chunked_config(name), 0, 1, rows, montecarlo._chunk_scratch(_CHUNK)
+    )
+
+
 # The one table of traced memory peaks: (case id, build, samples, bound in B
 # per sample).  build() makes the inputs before tracing and returns the call
 # whose peak, on one CPU, after a first draw, divided by samples, is bounded.
+# tracemalloc does not see mapped memory, so every scratch set is built with
+# np.empty while traced, and counted.
 PEAKS = [
     # besides its outputs a chunk holds the first detector vacuum's row
     # (8 B per sample) and two draw blocks (2 more); two scratch rows took 16
-    *((f"chunk-streams-{name}", lambda name=name: functools.partial(
-        montecarlo._chunk_streams, chunked_config(name), 0, 1,
-        tuple(np.empty(_CHUNK) for _ in range(3)),
-    ), _CHUNK, 11.0) for name in ("flat", "tone")),
+    *((f"chunk-streams-{name}", functools.partial(_chunk_streams_with_scratch, name),
+       _CHUNK, 11.0) for name in ("flat", "tone")),
     # a one-chunk run: the projected series (8 B per sample), the chunk's
     # photocurrent and phase (16), one scratch row and two draw blocks, and
-    # the periodogram rows; two scratch rows in place of the one row and two
-    # blocks took 6 B per sample more
+    # the periodogram rows with one block's FFT rows; two scratch rows in
+    # place of the one row and two blocks took 6 B per sample more
     ("one-chunk-oracle",
      lambda: _oracle_run(_CHUNK, [0.0, 0.7, math.pi / 2.0], eta_h=0.9, eta_d=0.8, gain=2.0),
      _CHUNK, 36.0),
@@ -461,10 +470,10 @@ PEAKS = [
     # rows); three whole streams took 32
     ("oracle", lambda: _oracle_run(2**22, [1.0], gain=2.0), 2**22, 20.0),
     # the two streams (16 B per sample) and one chunk's rows: its
-    # photocurrent, its scratch row and the filter's output; the whole-run
-    # photocurrent it was filtered in took 8 more
+    # photocurrent, its scratch row and two blocks and the filter's output;
+    # the whole-run photocurrent it was filtered in took 8 more
     ("bandpass-streams", _bandpass_streams, 2**22, 19.0),
-    # the projection (8 B per sample) and one chunk's temporary; two
+    # the projection (8 B per sample) and one block's temporary; two
     # whole-array products took 16
     ("at-angle", _at_angle, 2**22, 10.0),
 ]
@@ -614,7 +623,9 @@ class TestChunks:
         ) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
         phase = math.sqrt(eps) * x - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
         outputs = tuple(np.empty(stop - start) for _ in range(3))
-        got = montecarlo._chunk_streams(cfg, trial, chunk, outputs)
+        got = montecarlo._chunk_streams(
+            cfg, trial, chunk, outputs, montecarlo._chunk_scratch(stop - start)
+        )
         names = ("amplitude", "photocurrent", "phase")
         for name, g, want in zip(names, got, (amplitude, photocurrent, phase)):
             assert np.array_equal(g, want), name
@@ -636,6 +647,7 @@ class TestChunks:
                              ids=[row[0] for row in PEAKS])
     def test_peak_memory_per_sample(self, monkeypatch, build, samples, bound):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_mapped", np.empty)
         call = build()
         untimed_draw()
         tracemalloc.start()
@@ -653,10 +665,10 @@ class TestChunks:
         # run is joined with a timeout, so a hang fails instead of stalling
         original = montecarlo._chunk_streams
 
-        def failing(config, trial, chunk, rows):
+        def failing(config, trial, chunk, rows, scratch):
             if chunk == 1:
                 raise MemoryError("chunk 1 failed")
-            return original(config, trial, chunk, rows)
+            return original(config, trial, chunk, rows, scratch)
 
         monkeypatch.setattr(montecarlo, "_chunk_streams", failing)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
