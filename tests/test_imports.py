@@ -214,7 +214,6 @@ LOADS = [
         "assert not any(t.is_alive() for t in threads)\n"
         "assert len(results) == 8 and all(r == results[0] for r in results), results\n"
     ), ("numpy",), ()),
-    # read from /proc/self/status, so Linux only
     ("scratch-given-back", [], SCRATCH_GIVEN_BACK, ("concurrent.futures", "threading"),
      ("scipy", "scipy.signal")),
 ]
