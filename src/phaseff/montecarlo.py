@@ -20,9 +20,10 @@ from .network import NetworkParams, spectrum_from_modes
 # The analysis plan: every periodogram averages SEGMENT_COUNT segments of at
 # least MIN_SEGMENT samples, so a run or a series needs MIN_SAMPLES.  A run has
 # at most MAX_SAMPLES: a bandpass simulate_streams holds its two streams, 16 B
-# per sample, and on each worker one chunk's scratch set and filter output
-# (17.6 B per sample in all, traced at 2^22 samples on one CPU), so 2^27
-# samples fit in about 2 GiB, on every machine alike (free memory is not read).
+# per sample, and on each worker one chunk's scratch set and one block of
+# filter output (17.3 B per sample in all, traced at 2^22 samples on one
+# CPU), so 2^27 samples fit in about 2 GiB, on every machine alike (free
+# memory is not read).
 SEGMENT_COUNT, MIN_SEGMENT = 64, 1024
 MIN_SAMPLES, MAX_SAMPLES = SEGMENT_COUNT * MIN_SEGMENT, 2**27
 
@@ -43,13 +44,26 @@ _BLOCK = 2**15
 
 
 def _mapped(shape, dtype=float) -> np.ndarray:
-    """np.empty(shape, dtype) in an anonymous mapping of its own.  Its pages
-    go back to the OS once the array and its views are dropped; a block the
-    allocator frees may stay in a thread's arena for reuse instead."""
+    """np.empty(shape, dtype) in a private anonymous mapping of its own,
+    advised for huge pages where the OS has them, as numpy advises its own
+    large arrays; a kernel without them refuses the advice, which is then
+    dropped.  Its pages go back to the OS once the array and its views
+    are dropped; a block the allocator frees may stay in a thread's arena,
+    or in the main heap, for reuse instead.  The array owns no data, so
+    ndarray.resize refuses it.  A mapping cannot be empty: a zero-size
+    request is np.empty's."""
     import mmap
 
     count = shape if isinstance(shape, int) else math.prod(shape)
-    buffer = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
+    size = count * np.dtype(dtype).itemsize
+    if size == 0:
+        return np.empty(shape, dtype)
+    buffer = mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        try:
+            buffer.madvise(mmap.MADV_HUGEPAGE)
+        except OSError:
+            pass
     return np.frombuffer(buffer, dtype, count).reshape(shape)
 
 
@@ -244,12 +258,13 @@ class QuadratureStreams(Record, eq=False):
         _stream("phase", self.phase, self.amplitude.size)
 
     def at_angle(self, phi: float) -> np.ndarray:
-        """Projection cos(phi)*amplitude + sin(phi)*phase, in a new array, a
-        block of _BLOCK samples at a time: it holds one block's temporary
-        besides the result, and gives the bits of the whole-array expression."""
+        """Projection cos(phi)*amplitude + sin(phi)*phase, in a new _mapped
+        array, a block of _BLOCK samples at a time: it holds one block's
+        temporary besides the result, and gives the bits of the whole-array
+        expression."""
         phi = _real("phi", phi)
         c, s = math.cos(phi), math.sin(phi)
-        out = np.empty(self.amplitude.size)
+        out = _mapped(self.amplitude.size)
         for start in range(0, out.size, _BLOCK):
             part = slice(start, start + _BLOCK)
             np.multiply(c, self.amplitude[part], out=out[part])
@@ -268,8 +283,11 @@ def _kernel_step(kernel: Kernel, params: NetworkParams, sample_rate: float):
     must lie below Nyquist.  Its step runs scipy's compiled filter, the
     recursion lfilter calls, loaded alone as the step is built, and carries
     the two state values: it takes chunk k only after chunk k - 1, on any
-    thread, so its chunks give the bits of one whole-array lfilter call.  An
-    empty chunk, a failed draw's, only passes the turn on.
+    thread, so its chunks give the bits of one whole-array lfilter call.  It
+    filters a chunk _BLOCK samples at a time, carrying the state from piece
+    to piece, and multiplies each piece's output into the photocurrent, so
+    its one allocation is a block.  An empty chunk, a failed draw's, only
+    passes the turn on.
     """
     sample_rate = _signed("sample_rate", sample_rate)
     if isinstance(kernel, FlatKernel):
@@ -286,16 +304,17 @@ def _kernel_step(kernel: Kernel, params: NetworkParams, sample_rate: float):
 
         def step(chunk: int, photocurrent: np.ndarray) -> np.ndarray:
             nonlocal state, next_chunk
-            filtered = photocurrent
             with turn:
                 turn.wait_for(lambda: next_chunk == chunk)
                 try:
-                    if photocurrent.size:
-                        filtered, state = linear_filter(b, a, photocurrent, -1, state)
+                    for start in range(0, photocurrent.size, _BLOCK):
+                        piece = photocurrent[start : start + _BLOCK]
+                        filtered, state = linear_filter(b, a, piece, -1, state)
+                        np.multiply(kernel.gain, filtered, out=piece)
                 finally:
                     next_chunk = chunk + 1
                     turn.notify_all()
-            return np.multiply(kernel.gain, filtered, out=photocurrent)
+            return photocurrent
 
         return step
     raise ValueError(f"unknown kernel type {type(kernel).__name__}")
@@ -477,10 +496,10 @@ def _realize(config: SimConfig, trial: int, step, rows, finish, spare: int) -> N
 
 def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     """One realization of the output quadrature streams, through _realize:
-    each chunk is drawn into its slices of the two streams, with the
+    each chunk is drawn into its slices of the two _mapped streams, with the
     worker's photocurrent row."""
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
-    amplitude, phase = np.empty(config.n_samples), np.empty(config.n_samples)
+    amplitude, phase = _mapped(config.n_samples), _mapped(config.n_samples)
 
     def rows(chunk: int, spare):
         part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
@@ -492,11 +511,12 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
 
 def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
     """simulate_streams(config, trial).at_angle(phi), bit for bit, holding
-    only the series whole: each chunk's amplitude is drawn into its slice and
-    projected there in at_angle's two steps, beside the worker's photocurrent
-    and phase rows, the latter taking sin(phi) * phase in place."""
+    only the _mapped series whole: each chunk's amplitude is drawn into its
+    slice and projected there in at_angle's two steps, beside the worker's
+    photocurrent and phase rows, the latter taking sin(phi) * phase in
+    place."""
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
-    series = np.empty(config.n_samples)
+    series = _mapped(config.n_samples)
     c, s = math.cos(phi), math.sin(phi)
 
     def rows(chunk: int, spare):
@@ -529,16 +549,20 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     errors come from the scatter of the per-segment periodograms.  The rows
     are transformed in blocks of about _CHUNK samples on every usable CPU,
     each into its worker's _mapped spectrum rows and from there, in place,
-    into the periodogram; the result does not depend on the thread count.
-    A series with a NaN or inf sample, or whose periodogram overflows, is
-    refused once its bins are formed, so the samples are never scanned.
+    into the _mapped periodogram; the result does not depend on the thread
+    count.  The mean and the standard error are formed in the periodogram
+    rows themselves, in the steps of numpy's mean(axis=0) and
+    std(axis=0, ddof=1), so they have those bits and no temporary of the
+    periodogram's size is made.  A series with a NaN or inf sample, or
+    whose periodogram overflows, is refused once its bins are formed, so
+    the samples are never scanned.
     """
     _stream("series", series)
     sample_rate = _signed("sample_rate", sample_rate)
     _long_enough("series", series.size)
     seg_len = series.size // SEGMENT_COUNT
     segments = series[: seg_len * SEGMENT_COUNT].reshape(SEGMENT_COUNT, seg_len)
-    periodograms = np.empty((SEGMENT_COUNT, seg_len // 2 + 1))
+    periodograms = _mapped((SEGMENT_COUNT, seg_len // 2 + 1))
     per_block = max(1, _CHUNK // seg_len)  # at least one segment per block
 
     def fill_rows(block: int, spectra: np.ndarray) -> None:
@@ -552,10 +576,16 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
 
     shape = (min(per_block, SEGMENT_COUNT), periodograms.shape[1])
     _parallel(fill_rows, -(-SEGMENT_COUNT // per_block), lambda: _mapped(shape, complex))
-    variance = periodograms.mean(axis=0)
+    variance = np.add.reduce(periodograms, axis=0)
+    variance /= SEGMENT_COUNT
     if not np.isfinite(variance).all():
         raise ValueError("series has non-finite PSD bins: a NaN or inf sample, or overflow")
-    standard_error = periodograms.std(axis=0, ddof=1) / math.sqrt(SEGMENT_COUNT)
+    periodograms -= variance
+    np.multiply(periodograms, periodograms, out=periodograms)
+    standard_error = np.add.reduce(periodograms, axis=0)
+    standard_error /= SEGMENT_COUNT - 1
+    np.sqrt(standard_error, out=standard_error)
+    standard_error /= math.sqrt(SEGMENT_COUNT)
     frequencies = np.fft.rfftfreq(seg_len, d=1.0 / sample_rate)
     return PsdEstimate(
         frequencies=frequencies, variance=variance, standard_error=standard_error

@@ -16,10 +16,10 @@ written by hand.
 Each row runs once, in a fresh interpreter, since the test process itself
 has long since imported everything; its code holds its own asserts, so a
 failed one fails the row's every case.  The subcommand runs it names are
-entries of the one table of byte pins, tests/test_golden.py's CASES.  One
-row, scratch-given-back, also bounds the resident memory that two Monte
-Carlo runs leave behind; it reads /proc/self/status, so its cases skip
-where there is none.
+entries of the one table of byte pins, tests/test_golden.py's CASES.  Two
+rows, scratch-given-back and scratch-given-back-flat-first, also bound the
+resident memory that two Monte Carlo runs leave behind; they read
+/proc/self/status, so their cases skip where there is none.
 """
 
 import functools
@@ -75,31 +75,40 @@ def bandpass_refused(start: str) -> str:
 
 
 # A bandpass run and a flat oracle_compare of 2^21 samples on two worker
-# threads, after numpy.random, numpy.fft and the filter have loaded: each
-# worker's scratch is mapped and unmapped as the run ends, so the process
-# keeps at most RSS_KEPT_MB of resident memory; with the scratch in the
-# threads' allocator arenas it kept 15.5-19.0 MB.  The bandpass run comes
-# first: after the flat run's freed 16 MB series has raised the allocator's
-# mmap threshold, the bandpass streams stay in the main heap once freed.
+# threads, in either order, after numpy.random, numpy.fft and the filter have
+# loaded: every array of a realization and a periodogram is mapped and
+# unmapped as it is dropped, so the process keeps at most RSS_KEPT_MB of
+# resident memory.  With the workers' scratch in the threads' allocator
+# arenas it kept 15.5-19.0 MB; with only the scratch mapped, 7.2 MB bandpass
+# first and 37.9 MB flat first, the flat run's freed series having raised the
+# allocator's mmap threshold so that the bandpass streams stayed in the heap.
 RSS_KEPT_MB = 10.0
-SCRATCH_GIVEN_BACK = (
-    "import numpy.fft, numpy.random\n"
-    "from phaseff import BandpassKernel, NetworkParams, SimConfig, montecarlo\n"
-    "from phaseff import oracle_compare, simulate_streams\n"
-    "montecarlo._usable_cpus = lambda: 2\n"
-    "montecarlo._linear_filter()\n"
-    "def rss_mb():\n"
-    "    with open('/proc/self/status') as status:\n"
-    "        return next(int(line.split()[1]) for line in status\n"
-    "                    if line.startswith('VmRSS:')) / 1024\n"
-    "p = NetworkParams(epsilon=0.2, eta_h1=0.9, eta_d1=0.8, gain=2.0)\n"
-    "kernel = BandpassKernel(center_hz=5000.0, bandwidth_hz=500.0, gain=2.0)\n"
-    "before = rss_mb()\n"
-    "simulate_streams(SimConfig(p, 2.0**21, 1.0, kernel=kernel, seed=3))\n"
-    "oracle_compare(SimConfig(p, 2.0**21, 1.0, seed=3), [1.0])\n"
-    "kept = rss_mb() - before\n"
-    f"assert kept <= {RSS_KEPT_MB}, f'the runs kept {{kept:.1f}} MB'\n"
-)
+RUNS = {
+    "bandpass": "simulate_streams(SimConfig(p, 2.0**21, 1.0, kernel=kernel, seed=3))\n",
+    "flat": "oracle_compare(SimConfig(p, 2.0**21, 1.0, seed=3), [1.0])\n",
+}
+
+
+def scratch_given_back(order) -> str:
+    """The runs named in `order`, from RUNS, and the check of what they kept."""
+    return (
+        "import numpy.fft, numpy.random\n"
+        "from phaseff import BandpassKernel, NetworkParams, SimConfig, montecarlo\n"
+        "from phaseff import oracle_compare, simulate_streams\n"
+        "montecarlo._usable_cpus = lambda: 2\n"
+        "montecarlo._linear_filter()\n"
+        "def rss_mb():\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        return next(int(line.split()[1]) for line in status\n"
+        "                    if line.startswith('VmRSS:')) / 1024\n"
+        "p = NetworkParams(epsilon=0.2, eta_h1=0.9, eta_d1=0.8, gain=2.0)\n"
+        "kernel = BandpassKernel(center_hz=5000.0, bandwidth_hz=500.0, gain=2.0)\n"
+        "before = rss_mb()\n"
+        + "".join(RUNS[run] for run in order)
+        + "kept = rss_mb() - before\n"
+        f"assert kept <= {RSS_KEPT_MB}, f'the runs kept {{kept:.1f}} MB'\n"
+    )
+
 
 # whichever of a bandpass run and `from scipy import signal` comes first,
 # scipy.signal gets its _sigtools module and the kernel runs its filter
@@ -214,8 +223,10 @@ LOADS = [
         "assert not any(t.is_alive() for t in threads)\n"
         "assert len(results) == 8 and all(r == results[0] for r in results), results\n"
     ), ("numpy",), ()),
-    ("scratch-given-back", [], SCRATCH_GIVEN_BACK, ("concurrent.futures", "threading"),
-     ("scipy", "scipy.signal")),
+    *((name, [], scratch_given_back(order), ("concurrent.futures", "threading"),
+       ("scipy", "scipy.signal"))
+      for name, order in (("scratch-given-back", ("bandpass", "flat")),
+                          ("scratch-given-back-flat-first", ("flat", "bandpass")))),
 ]
 CHECKS = [(row[0], module, must) for row in LOADS
           for must, modules in ((True, row[3]), (False, row[4])) for module in modules]
@@ -242,6 +253,6 @@ def loaded(tmp_path_factory):
     ids=[f"{name}-{'loads' if must else 'skips'}-{module}" for name, module, must in CHECKS],
 )
 def test_module_load(loaded, name, module, must):
-    if name == "scratch-given-back" and not os.path.exists("/proc/self/status"):
+    if name.startswith("scratch-given-back") and not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read the resident set from")
     assert loaded(name)[module] is must, f"{module} {'not ' if must else ''}loaded"

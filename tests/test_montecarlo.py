@@ -153,13 +153,33 @@ class TestStreams:
         s = simulate_streams(cfg)
         assert np.allclose(s.at_angle(math.pi / 2.0), s.phase, rtol=1e-12, atol=1e-12)
 
-    def test_at_angle_is_the_whole_array_projection(self):
-        # more than one chunk, with a partial last one
+    # where mmap has no MADV_HUGEPAGE (macOS, Windows), or the kernel refuses
+    # the advice (EINVAL, as a kernel without transparent huge pages does),
+    # the streams are mapped all the same
+    @pytest.mark.parametrize("advice", [None, -1], ids=["absent", "refused"])
+    def test_streams_do_not_need_huge_pages(self, monkeypatch, advice):
+        import mmap
+
+        cfg = config_for(make_params(gain=1.0), seed=5)
+        want = simulate_streams(cfg)
+        if advice is None:
+            monkeypatch.delattr(mmap, "MADV_HUGEPAGE", raising=False)
+        else:
+            monkeypatch.setattr(mmap, "MADV_HUGEPAGE", advice, raising=False)
+        got = simulate_streams(cfg)
+        assert np.array_equal(got.amplitude, want.amplitude)
+        assert np.array_equal(got.phase, want.phase)
+
+    # more than one chunk, with a partial last one; and no sample, which no
+    # memory mapping can hold
+    @pytest.mark.parametrize("n_samples", [2 * _CHUNK + 77, 0])
+    def test_at_angle_is_the_whole_array_projection(self, n_samples):
         rng = np.random.Generator(np.random.Philox(key=np.array([19, 0], dtype=np.uint64)))
-        amplitude, phase = rng.standard_normal((2, 2 * _CHUNK + 77))
+        amplitude, phase = rng.standard_normal((2, n_samples))
         phi = 0.7
         want = math.cos(phi) * amplitude + math.sin(phi) * phase
-        assert np.array_equal(QuadratureStreams(amplitude, phase).at_angle(phi), want)
+        got = QuadratureStreams(amplitude, phase).at_angle(phi)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 class TestEstimatePsd:
@@ -465,14 +485,15 @@ PEAKS = [
     ("one-chunk-oracle",
      lambda: _oracle_run(_CHUNK, [0.0, 0.7, math.pi / 2.0], eta_h=0.9, eta_d=0.8, gain=2.0),
      _CHUNK, 36.0),
-    # the projected series (8 B per sample), the periodogram rows (about 4)
-    # and one chunk's four rows (its photocurrent, its phase and two scratch
-    # rows); three whole streams took 32
-    ("oracle", lambda: _oracle_run(2**22, [1.0], gain=2.0), 2**22, 20.0),
+    # the projected series (8 B per sample), the periodogram rows (about 4),
+    # in which the standard errors are formed, and one chunk's four rows (its
+    # photocurrent, its phase and two scratch rows); three whole streams took
+    # 32, and std's temporary of the periodogram's size 4 more
+    ("oracle", lambda: _oracle_run(2**22, [1.0], gain=2.0), 2**22, 14.0),
     # the two streams (16 B per sample) and one chunk's rows: its
-    # photocurrent, its scratch row and two blocks and the filter's output;
-    # the whole-run photocurrent it was filtered in took 8 more
-    ("bandpass-streams", _bandpass_streams, 2**22, 19.0),
+    # photocurrent, its scratch row and two blocks, and one block of filter
+    # output; the whole-run photocurrent it was filtered in took 8 more
+    ("bandpass-streams", _bandpass_streams, 2**22, 18.0),
     # the projection (8 B per sample) and one block's temporary; two
     # whole-array products took 16
     ("at-angle", _at_angle, 2**22, 10.0),
