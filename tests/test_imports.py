@@ -79,9 +79,10 @@ def bandpass_refused(start: str) -> str:
 # loaded: every array of a realization and a periodogram is mapped and
 # unmapped as it is dropped, so the process keeps at most RSS_KEPT_MB of
 # resident memory.  With the workers' scratch in the threads' allocator
-# arenas it kept 15.5-19.0 MB; with only the scratch mapped, 7.2 MB bandpass
-# first and 37.9 MB flat first, the flat run's freed series having raised the
-# allocator's mmap threshold so that the bandpass streams stayed in the heap.
+# arenas it kept 15.5-19.0 MB.  With only the scratch mapped, flat first could
+# keep 37 MB: the flat run's freed series raised the allocator's mmap
+# threshold, so the bandpass streams came from the heap, and stayed there
+# whenever a live block lay above them.
 RSS_KEPT_MB = 10.0
 RUNS = {
     "bandpass": "simulate_streams(SimConfig(p, 2.0**21, 1.0, kernel=kernel, seed=3))\n",

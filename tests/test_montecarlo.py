@@ -5,6 +5,7 @@ All statistical assertions run with fixed seeds, so they are deterministic.
 
 import functools
 import math
+import mmap
 import sys
 import threading
 import tracemalloc
@@ -158,8 +159,6 @@ class TestStreams:
     # the streams are mapped all the same
     @pytest.mark.parametrize("advice", [None, -1], ids=["absent", "refused"])
     def test_streams_do_not_need_huge_pages(self, monkeypatch, advice):
-        import mmap
-
         cfg = config_for(make_params(gain=1.0), seed=5)
         want = simulate_streams(cfg)
         if advice is None:
