@@ -20,10 +20,10 @@ from .network import NetworkParams, spectrum_from_modes
 # The analysis plan: every periodogram averages SEGMENT_COUNT segments of at
 # least MIN_SEGMENT samples, so a run or a series needs MIN_SAMPLES.  A run has
 # at most MAX_SAMPLES: a bandpass simulate_streams holds its two streams, 16 B
-# per sample, and on each worker one chunk's scratch set and one block of
-# filter output (17.3 B per sample in all, traced at 2^22 samples on one
-# CPU), so 2^27 samples fit in about 2 GiB, on every machine alike (free
-# memory is not read).
+# per sample, and on each worker one chunk's photocurrent and scratch rows
+# and one block of filter output (17.3 B per sample in all, traced at 2^22
+# samples on one CPU), so 2^27 samples fit in about 2 GiB, on every machine
+# alike (free memory is not read).
 SEGMENT_COUNT, MIN_SEGMENT = 64, 1024
 MIN_SAMPLES, MAX_SAMPLES = SEGMENT_COUNT * MIN_SEGMENT, 2**27
 
@@ -204,7 +204,7 @@ class SimConfig(Record):
             _signed("signal_frequency", self.signal_frequency)
         _below_nyquist("signal_frequency", self.signal_frequency, self.sample_rate)
         samples = self.duration * self.sample_rate  # inf if it overflows
-        if not samples <= MAX_SAMPLES:
+        if samples == math.inf or self.n_samples > MAX_SAMPLES:
             raise ValueError(f"run too long: {samples:.6g} samples, need at most {MAX_SAMPLES}")
         _long_enough("run", self.n_samples)
         if not isinstance(self.kernel, (FlatKernel, BandpassKernel)):
@@ -222,9 +222,8 @@ class SimConfig(Record):
 def _substream(seed: int, trial: int, chunk: int = 0) -> np.random.Generator:
     """Counter-based generator keyed on (seed, trial), starting at counter
     word 3 = chunk: distinct trials and chunks give independent streams
-    without sequential state.  Chunk 0 is Philox's default counter."""
-    if not _is_uint64(trial):
-        raise ValueError(f"trial must be an integer in [0, 2^64), got {trial!r}")
+    without sequential state.  Chunk 0 is Philox's default counter.  The
+    seed and the trial are its callers' to check: each a word in [0, 2^64)."""
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, chunk]))
 
@@ -334,20 +333,8 @@ def apply_kernel(
     return out
 
 
-def _chunk_scratch(n: int, spare: int = 0) -> tuple[np.ndarray, ...]:
-    """One worker's scratch for chunks of up to n samples, each array mapped
-    with _mapped: _chunk_streams' detector row and two draw blocks, then
-    `spare` rows for its caller."""
-    block = min(n, _BLOCK)
-    return (_mapped(n), _mapped(block), _mapped(block), *(_mapped(n) for _ in range(spare)))
-
-
 def _chunk_streams(
-    config: SimConfig,
-    trial: int,
-    chunk: int,
-    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
-    scratch: tuple[np.ndarray, ...],
+    config: SimConfig, trial: int, chunk: int, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The signal flow over samples [chunk * _CHUNK, (chunk + 1) * _CHUNK) of a
     run: the output amplitude, the homodyne photocurrent and the output phase
@@ -371,9 +358,9 @@ def _chunk_streams(
     a time and each block is folded into the sums as it arrives, term by
     term from the left, so the bits are those of the three expressions over
     a whole draw block.  Only detector_vacuum_1 is held whole, until
-    detector_vacuum_2 arrives a row later.  That row and the two blocks are
-    the first three arrays of `scratch`, _chunk_scratch's, at least as long,
-    so the chunk allocates no array of its own.
+    detector_vacuum_2 arrives a row later, so a chunk maps one row and two
+    blocks of its own with _mapped besides its outputs; their pages go back
+    to the OS as it returns.
     """
     p = config.params
     eps = p.epsilon
@@ -382,7 +369,7 @@ def _chunk_streams(
     start = chunk * _CHUNK
     n = min(start + _CHUNK, config.n_samples) - start
     amplitude, photocurrent, phase = rows
-    detectors, block, other = scratch[0][:n], scratch[1], scratch[2]
+    detectors, block, other = _mapped(n), _mapped(min(n, _BLOCK)), _mapped(min(n, _BLOCK))
     rng = _substream(config.seed, trial, chunk)
     modes = iter(_MODE_ORDER)
 
@@ -433,56 +420,39 @@ def _chunk_streams(
     return amplitude, photocurrent, phase
 
 
-def _parallel(fn, count: int, scratch) -> None:
-    """Call fn(0, set), ..., fn(count - 1, set): in order when one CPU is
-    usable, else on a thread per usable CPU.  numpy releases the GIL while
-    drawing, in the ufuncs and in the FFT, so the calls run in parallel; each
-    must write only its own slice of shared output.  A failed call's
-    exception is re-raised.
-
-    Each call gets one of the scratch sets that scratch() builds, one per
-    worker, before any call runs; no two running calls share one, and a
-    call gives its set back as it returns or raises.  The sets are dropped
-    as _parallel returns: a set of _mapped arrays gives its pages back to
-    the OS then, where arrays a worker thread allocated itself could stay
-    in its allocator arena.
-    """
+def _parallel(fn, count: int) -> None:
+    """Call fn(0), ..., fn(count - 1): in order when one CPU is usable, else
+    on a thread per usable CPU.  numpy releases the GIL while drawing, in the
+    ufuncs and in the FFT, so the calls run in parallel; each must write only
+    its own slice of shared output.  A failed call's exception is re-raised."""
     workers = min(_usable_cpus(), count)
-    free = [scratch() for _ in range(workers)]
     if workers <= 1:
         for i in range(count):
-            fn(i, free[0])
+            fn(i)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    def call(i: int) -> None:
-        spare = free.pop()  # atomic, and with `workers` threads one set is free
-        try:
-            fn(i, spare)
-        finally:
-            free.append(spare)
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(call, range(count)):
+        for _ in pool.map(fn, range(count)):
             pass
 
 
-def _realize(config: SimConfig, trial: int, step, rows, finish, spare: int) -> None:
+def _realize(config: SimConfig, trial: int, step, rows, finish) -> None:
     """One realization, the signal flow of simulate_streams and oracle_compare.
 
     Their callers build the kernel's step, which checks it, before they
     allocate a row.  On every usable CPU, _chunk_streams draws chunk k into
-    rows(k, own), where own is the `spare` rows that the worker's
-    _chunk_scratch set holds for the caller; its photocurrent goes through
-    step in place, the correction is added to its phase, and
-    finish(amplitude, phase) runs, all in the worker that drew the chunk.
-    Only a bandpass step waits, for the chunk before, so the output does not
-    depend on the thread count.
+    rows(k), its amplitude and phase rows, and a _mapped photocurrent row of
+    the same length; the photocurrent goes through step in place, the
+    correction is added to the phase, and finish(amplitude, phase) runs, all
+    in the worker that drew the chunk.  Only a bandpass step waits, for the
+    chunk before, so the output does not depend on the thread count.
     """
-    def run(chunk: int, scratch) -> None:
+    def run(chunk: int) -> None:
         try:
+            amplitude, phase = rows(chunk)
             amplitude, photocurrent, phase = _chunk_streams(
-                config, trial, chunk, rows(chunk, scratch[3:]), scratch
+                config, trial, chunk, (amplitude, _mapped(amplitude.size), phase)
             )
         except BaseException:
             step(chunk, np.empty(0))  # passes the turn on: no chunk waits forever
@@ -490,44 +460,44 @@ def _realize(config: SimConfig, trial: int, step, rows, finish, spare: int) -> N
         phase += step(chunk, photocurrent)
         finish(amplitude, phase)
 
-    n = min(_CHUNK, config.n_samples)
-    _parallel(run, -(-config.n_samples // _CHUNK), lambda: _chunk_scratch(n, spare))
+    _parallel(run, -(-config.n_samples // _CHUNK))
 
 
 def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     """One realization of the output quadrature streams, through _realize:
-    each chunk is drawn into its slices of the two _mapped streams, with the
-    worker's photocurrent row."""
+    each chunk is drawn into its slices of the two _mapped streams.  A trial
+    outside [0, 2^64) is refused before anything is loaded or allocated."""
+    if not _is_uint64(trial):
+        raise ValueError(f"trial must be an integer in [0, 2^64), got {trial!r}")
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
     amplitude, phase = _mapped(config.n_samples), _mapped(config.n_samples)
 
-    def rows(chunk: int, spare):
+    def rows(chunk: int):
         part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
-        return amplitude[part], spare[0][: amplitude[part].size], phase[part]
+        return amplitude[part], phase[part]
 
-    _realize(config, trial, step, rows, lambda amplitude, phase: None, 1)
+    _realize(config, trial, step, rows, lambda amplitude, phase: None)
     return QuadratureStreams(amplitude=amplitude, phase=phase)
 
 
 def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
     """simulate_streams(config, trial).at_angle(phi), bit for bit, holding
     only the _mapped series whole: each chunk's amplitude is drawn into its
-    slice and projected there in at_angle's two steps, beside the worker's
-    photocurrent and phase rows, the latter taking sin(phi) * phase in
-    place."""
+    slice and projected there in at_angle's two steps, beside a _mapped
+    phase row of the chunk's own, which takes sin(phi) * phase in place."""
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
     series = _mapped(config.n_samples)
     c, s = math.cos(phi), math.sin(phi)
 
-    def rows(chunk: int, spare):
+    def rows(chunk: int):
         amplitude = series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
-        return amplitude, spare[0][: amplitude.size], spare[1][: amplitude.size]
+        return amplitude, _mapped(amplitude.size)
 
     def project(amplitude: np.ndarray, phase: np.ndarray) -> None:
         amplitude *= c
         amplitude += np.multiply(s, phase, out=phase)
 
-    _realize(config, trial, step, rows, project, 2)
+    _realize(config, trial, step, rows, project)
     return series
 
 
@@ -548,7 +518,7 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     interior bin contributes a^2 * m / 4 (m = segment length).  Standard
     errors come from the scatter of the per-segment periodograms.  The rows
     are transformed in blocks of about _CHUNK samples on every usable CPU,
-    each into its worker's _mapped spectrum rows and from there, in place,
+    each into _mapped spectrum rows of its own and from there, in place,
     into the _mapped periodogram; the result does not depend on the thread
     count.  The mean and the standard error are formed in the periodogram
     rows themselves, in the steps of numpy's mean(axis=0) and
@@ -565,17 +535,16 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     periodograms = _mapped((SEGMENT_COUNT, seg_len // 2 + 1))
     per_block = max(1, _CHUNK // seg_len)  # at least one segment per block
 
-    def fill_rows(block: int, spectra: np.ndarray) -> None:
+    def fill_rows(block: int) -> None:
         part = slice(block * per_block, (block + 1) * per_block)
         rows = periodograms[part]
         # a non-finite sample is refused below, once, not warned of here too;
         # numpy's error state is per thread, so it is set on each worker
         with np.errstate(invalid="ignore", over="ignore"):
-            z = np.fft.rfft(segments[part], axis=1, out=spectra[: len(rows)])
+            z = np.fft.rfft(segments[part], axis=1, out=_mapped(rows.shape, complex))
             np.true_divide(np.square(np.abs(z, out=rows), out=rows), seg_len, out=rows)
 
-    shape = (min(per_block, SEGMENT_COUNT), periodograms.shape[1])
-    _parallel(fill_rows, -(-SEGMENT_COUNT // per_block), lambda: _mapped(shape, complex))
+    _parallel(fill_rows, -(-SEGMENT_COUNT // per_block))
     variance = np.add.reduce(periodograms, axis=0)
     variance /= SEGMENT_COUNT
     if not np.isfinite(variance).all():

@@ -410,6 +410,17 @@ def test_sim_config_refuses_unstable_resonator(fields, name):
         SimConfig(**sim, kernel=BandpassKernel(**{**KERNEL, **kernel}))
 
 
+@pytest.mark.parametrize("trial", [-1, True, 2**64], ids=["negative", "bool", "2^64"])
+def test_bad_trial_refused_before_allocation(monkeypatch, trial):
+    # a realization maps its streams only once its trial is checked
+    def no_mapping(*args):
+        raise AssertionError("mapped before the trial was checked")
+
+    monkeypatch.setattr(montecarlo, "_mapped", no_mapping)
+    with pytest.raises(ValueError, match=r"^trial must be an integer in \[0, 2\^64\), got "):
+        montecarlo.simulate_streams(SimConfig(**SIM), trial=trial)
+
+
 def test_resonator_domain_reaches_nyquist():
     # just below Nyquist, centre and width both pass
     out = bandpass(np.zeros(16), center_hz=32767.0, bandwidth_hz=32767.0)

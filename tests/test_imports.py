@@ -4,10 +4,11 @@ numpy loads only when an array path runs, so not for `import phaseff` nor
 for the optimize, snr and spectrum subcommands, nor for a sweep of up to
 cli._SCALAR_SWEEP_MAX points, which evaluate their formulas on Python floats
 with math, nor for the library's scalar formulas, nor for a refused run
-(tests/test_cli.py's REFUSALS checks that).  Neither scipy nor scipy.signal
-loads at all: a bandpass kernel loads only scipy's compiled filter module,
-by file.  concurrent.futures loads only when a Monte Carlo run spans several
-chunks, and threading only once a bandpass kernel's step is built.
+(tests/test_cli.py's REFUSALS checks that) or a refused trial.  Neither
+scipy nor scipy.signal loads at all: a bandpass kernel loads only scipy's
+compiled filter module, by file.  concurrent.futures loads only when a Monte
+Carlo run spans several chunks, and threading only once a bandpass kernel's
+step is built.
 dataclasses (which loads inspect) loads only for a caller of its functions:
 phaseff's records are built on algebra.Record, which those functions still
 accept.  csv loads only for fit, which reads a trace with it; CSV output is
@@ -78,9 +79,10 @@ def bandpass_refused(start: str) -> str:
 # threads, in either order, after numpy.random, numpy.fft and the filter have
 # loaded: every array of a realization and a periodogram is mapped and
 # unmapped as it is dropped, so the process keeps at most RSS_KEPT_MB of
-# resident memory.  With the workers' scratch in the threads' allocator
-# arenas it kept 15.5-19.0 MB.  With only the scratch mapped, flat first could
-# keep 37 MB: the flat run's freed series raised the allocator's mmap
+# resident memory, the rows and blocks that each chunk and FFT block maps on
+# its worker thread among them.  With those from np.empty, in the threads'
+# allocator arenas, it kept 15.5-19.0 MB.  With only them mapped, flat first
+# could keep 37 MB: the flat run's freed series raised the allocator's mmap
 # threshold, so the bandpass streams came from the heap, and stayed there
 # whenever a live block lay above them.
 RSS_KEPT_MB = 10.0
@@ -182,6 +184,17 @@ LOADS = [
         "    assert str(exc) == 'cannot serialize value of type NoneType', exc\n"
         "else:\n"
         "    raise AssertionError('None was serialized')\n"
+    ), (), ("numpy",)),
+    # a bad trial is refused before the streams' numpy arrays exist
+    ("refused-trial", [], (
+        "from phaseff import NetworkParams, SimConfig, simulate_streams\n"
+        "p = NetworkParams(epsilon=0.2, eta_h1=1.0, eta_d1=1.0, gain=1.0)\n"
+        "try:\n"
+        "    simulate_streams(SimConfig(p, 65536.0, 1.0), trial=-1)\n"
+        "except ValueError as exc:\n"
+        "    assert str(exc).startswith('trial must be an integer'), exc\n"
+        "else:\n"
+        "    raise AssertionError('trial -1 ran')\n"
     ), (), ("numpy",)),
     ("fit", [], (
         "import contextlib, io\n"

@@ -83,6 +83,10 @@ class TestSimConfig:
         # a config is only checked here: nothing is allocated
         cfg = SimConfig(params=make_params(), sample_rate=65536.0, duration=2048.0)
         assert cfg.n_samples == MAX_SAMPLES == 2**27
+        # the cap reads the rounded count: both durations give 2^27 samples
+        for duration in (2048.0 + 0.3 / 65536.0, 2048.0 - 0.4 / 65536.0):
+            cfg = SimConfig(params=make_params(), sample_rate=65536.0, duration=duration)
+            assert cfg.n_samples == MAX_SAMPLES
         with pytest.raises(ValueError, match=r"^run too long: 1\.34218e\+08 samples"):
             SimConfig(params=make_params(), sample_rate=65536.0, duration=2048.0 + 1 / 65536.0)
 
@@ -427,11 +431,10 @@ def chunked_config(name, n_samples=5 * _CHUNK // 2, seed=31):
 
 
 def chunk_streams(config, trial, chunk):
-    """_chunk_streams into three new rows the length of the run's chunk,
-    with a scratch set of that length."""
+    """_chunk_streams into three new rows the length of the run's chunk."""
     n = min(config.n_samples - chunk * _CHUNK, _CHUNK)
     rows = tuple(np.empty(n) for _ in range(3))
-    return montecarlo._chunk_streams(config, trial, chunk, rows, montecarlo._chunk_scratch(n))
+    return montecarlo._chunk_streams(config, trial, chunk, rows)
 
 
 def untimed_draw():
@@ -462,35 +465,33 @@ def _at_angle():
 
 def _chunk_streams_with_scratch(name):
     rows = tuple(np.empty(_CHUNK) for _ in range(3))
-    return lambda: montecarlo._chunk_streams(
-        chunked_config(name), 0, 1, rows, montecarlo._chunk_scratch(_CHUNK)
-    )
+    return lambda: montecarlo._chunk_streams(chunked_config(name), 0, 1, rows)
 
 
 # The one table of traced memory peaks: (case id, build, samples, bound in B
 # per sample).  build() makes the inputs before tracing and returns the call
 # whose peak, on one CPU, after a first draw, divided by samples, is bounded.
-# tracemalloc does not see mapped memory, so every scratch set is built with
-# np.empty while traced, and counted.
+# tracemalloc does not see mapped memory, so _mapped is np.empty while
+# traced, and every row and block that a chunk or an FFT block maps is counted.
 PEAKS = [
     # besides its outputs a chunk holds the first detector vacuum's row
     # (8 B per sample) and two draw blocks (2 more); two scratch rows took 16
     *((f"chunk-streams-{name}", functools.partial(_chunk_streams_with_scratch, name),
        _CHUNK, 11.0) for name in ("flat", "tone")),
     # a one-chunk run: the projected series (8 B per sample), the chunk's
-    # photocurrent and phase (16), one scratch row and two draw blocks, and
+    # photocurrent and phase (16), its detector row and two draw blocks, and
     # the periodogram rows with one block's FFT rows; two scratch rows in
     # place of the one row and two blocks took 6 B per sample more
     ("one-chunk-oracle",
      lambda: _oracle_run(_CHUNK, [0.0, 0.7, math.pi / 2.0], eta_h=0.9, eta_d=0.8, gain=2.0),
      _CHUNK, 36.0),
     # the projected series (8 B per sample), the periodogram rows (about 4),
-    # in which the standard errors are formed, and one chunk's four rows (its
-    # photocurrent, its phase and two scratch rows); three whole streams took
-    # 32, and std's temporary of the periodogram's size 4 more
+    # in which the standard errors are formed, and one chunk's rows (its
+    # photocurrent, its phase, its detector row and two blocks); three whole
+    # streams took 32, and std's temporary of the periodogram's size 4 more
     ("oracle", lambda: _oracle_run(2**22, [1.0], gain=2.0), 2**22, 14.0),
     # the two streams (16 B per sample) and one chunk's rows: its
-    # photocurrent, its scratch row and two blocks, and one block of filter
+    # photocurrent, its detector row and two blocks, and one block of filter
     # output; the whole-run photocurrent it was filtered in took 8 more
     ("bandpass-streams", _bandpass_streams, 2**22, 18.0),
     # the projection (8 B per sample) and one block's temporary; two
@@ -643,9 +644,7 @@ class TestChunks:
         ) * rows[NoiseMode.TAP_VACUUM_AMPLITUDE]
         phase = math.sqrt(eps) * x - math.sqrt(1.0 - eps) * rows[NoiseMode.TAP_VACUUM_PHASE]
         outputs = tuple(np.empty(stop - start) for _ in range(3))
-        got = montecarlo._chunk_streams(
-            cfg, trial, chunk, outputs, montecarlo._chunk_scratch(stop - start)
-        )
+        got = montecarlo._chunk_streams(cfg, trial, chunk, outputs)
         names = ("amplitude", "photocurrent", "phase")
         for name, g, want in zip(names, got, (amplitude, photocurrent, phase)):
             assert np.array_equal(g, want), name
@@ -685,10 +684,10 @@ class TestChunks:
         # run is joined with a timeout, so a hang fails instead of stalling
         original = montecarlo._chunk_streams
 
-        def failing(config, trial, chunk, rows, scratch):
+        def failing(config, trial, chunk, rows):
             if chunk == 1:
                 raise MemoryError("chunk 1 failed")
-            return original(config, trial, chunk, rows, scratch)
+            return original(config, trial, chunk, rows)
 
         monkeypatch.setattr(montecarlo, "_chunk_streams", failing)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)

@@ -415,10 +415,7 @@ class TestSignalFlow:
                 montecarlo, "_substream", lambda seed, trial, chunk=0: _OneModeStream(j, self.N)
             )
             rows = tuple(np.empty(self.N) for _ in range(3))
-            scratch = montecarlo._chunk_scratch(self.N)
-            amplitude, photocurrent, phase = montecarlo._chunk_streams(
-                config, 0, 0, rows, scratch
-            )
+            amplitude, photocurrent, phase = montecarlo._chunk_streams(config, 0, 0, rows)
             scale = math.sqrt(p.v_phase_in) if mode is NoiseMode.INPUT_PHASE else 1.0
             corrected = phase + p.gain * photocurrent
             terms = np.abs(phase) + abs(p.gain) * np.abs(photocurrent)
