@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Print the full analytic noise budget for one operating point.
 
+The point is the network block of a run config, configs/example.json unless
+--config names another.
+
 Covers the quadrature spectra at the amplitude and phase angles, the signal
 power gain, the feed-forward noise floor, the gain optimization summary, and
 the comparison against an ideal phase-insensitive amplifier at equal gain.
@@ -8,12 +11,13 @@ the comparison against an ideal phase-insensitive amplifier at equal gain.
 
 import argparse
 import math
+from pathlib import Path
 
 from phaseff import (
-    NetworkParams,
     db_from_linear,
     detected_variance,
     ideal_gain,
+    load_config,
     max_transfer_ratio,
     optimal_gain,
     phase_variance,
@@ -23,33 +27,19 @@ from phaseff import (
     transfer_ratio,
 )
 
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
+
 
 def get_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--epsilon", type=float, default=0.2)
-    parser.add_argument("--eta-h1", type=float, default=0.94)
-    parser.add_argument("--eta-d1", type=float, default=0.91)
-    parser.add_argument("--gain", type=float, default=3.2)
     parser.add_argument(
-        "--input-phase-db",
-        type=float,
-        default=8.6,
-        help="input phase variance above the vacuum level, dB",
+        "--config", default=str(CONFIG), help="run config whose network block is the point"
     )
-    parser.add_argument("--eta-det2", type=float, default=0.8008)
     return parser.parse_args()
 
 
 def main() -> int:
-    args = get_args()
-    params = NetworkParams(
-        epsilon=args.epsilon,
-        eta_h1=args.eta_h1,
-        eta_d1=args.eta_d1,
-        gain=args.gain,
-        v_phase_in=10.0 ** (args.input_phase_db / 10.0),
-        eta_det2=args.eta_det2,
-    )
+    params = load_config(get_args().config).network
 
     floor = phase_variance(params._replace(v_phase_in=1.0))
     signal_level = spectrum_from_modes(params, math.pi / 2.0)

@@ -1,31 +1,26 @@
 #!/usr/bin/env python3
 """Synthesize a detected phase sweep, corrupt it, and recover the gain.
 
-Generates the theoretical sweep at a known feed-forward gain, adds
+Generates the theoretical sweep at the operating point of
+configs/example.json, whose feed-forward gain is the one to recover, adds
 multiplicative measurement noise, and runs the least-squares gain fit on
 both the clean and noisy traces.  Optionally writes the noisy trace to CSV
 so it can be refit from the command line.
 """
 
 import argparse
+from pathlib import Path
 
 import numpy as np
 
-from phaseff import NetworkParams, SweepTrace, db_from_linear, emit, fit_gain, run_sweep
+from phaseff import SweepTrace, db_from_linear, emit, fit_gain, load_config, run_sweep
 
-TRUE_GAIN = 3.2
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "example.json"
+PARAMS = load_config(str(CONFIG)).network
+TRUE_GAIN = PARAMS.gain.real
 NOISE_FRACTION = 0.01
 N_POINTS = 361
 SEED = 20240817
-
-PARAMS = NetworkParams(
-    epsilon=0.2,
-    eta_h1=0.94,
-    eta_d1=0.91,
-    gain=TRUE_GAIN,
-    v_phase_in=10.0**0.86,
-    eta_det2=0.8008,
-)
 
 
 def main() -> int:

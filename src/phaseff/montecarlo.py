@@ -20,10 +20,10 @@ from .network import NetworkParams, spectrum_from_modes
 # The analysis plan: every periodogram averages SEGMENT_COUNT segments of at
 # least MIN_SEGMENT samples, so a run or a series needs MIN_SAMPLES.  A run has
 # at most MAX_SAMPLES: a bandpass simulate_streams holds its two streams, 16 B
-# per sample, and on each worker one chunk's photocurrent and scratch rows
-# and one block of filter output (17.3 B per sample in all, traced at 2^22
-# samples on one CPU), so 2^27 samples fit in about 2 GiB, on every machine
-# alike (free memory is not read).
+# per sample, one chunk's photocurrent and scratch rows per worker, and one
+# block of filter output on the caller (17.3 B per sample in all, traced at
+# 2^22 samples on one CPU), so 2^27 samples fit in about 2 GiB, on every
+# machine alike (free memory is not read).
 SEGMENT_COUNT, MIN_SEGMENT = 64, 1024
 MIN_SAMPLES, MAX_SAMPLES = SEGMENT_COUNT * MIN_SEGMENT, 2**27
 
@@ -273,46 +273,36 @@ class QuadratureStreams(Record, eq=False):
 
 def _kernel_step(kernel: Kernel, params: NetworkParams, sample_rate: float):
     """The kernel as a step over a photocurrent's chunks, once it and
-    sample_rate are checked: step(k, photocurrent) writes chunk k's
-    correction over that chunk of photocurrent and returns it.
+    sample_rate are checked: step(photocurrent) writes the correction over
+    the next chunk of photocurrent and returns it.
 
-    The flat kernel scales by the network gain, which must be real, and
-    never waits.  The bandpass kernel is a causal IIR resonator with
-    _peak_coefficients' (b, a), iirpeak's bits; its centre and bandwidth
-    must lie below Nyquist.  Its step runs scipy's compiled filter, the
-    recursion lfilter calls, loaded alone as the step is built, and carries
-    the two state values: it takes chunk k only after chunk k - 1, on any
-    thread, so its chunks give the bits of one whole-array lfilter call.  It
-    filters a chunk _BLOCK samples at a time, carrying the state from piece
-    to piece, and multiplies each piece's output into the photocurrent, so
-    its one allocation is a block.  An empty chunk, a failed draw's, only
-    passes the turn on.
+    The flat kernel scales by the network gain, which must be real.  The
+    bandpass kernel is a causal IIR resonator with _peak_coefficients'
+    (b, a), iirpeak's bits; its centre and bandwidth must lie below
+    Nyquist.  Its step runs scipy's compiled filter, the recursion lfilter
+    calls, loaded alone as the step is built, and carries the two state
+    values from call to call, so chunks given in order give the bits of one
+    whole-array lfilter call.  It filters a chunk _BLOCK samples at a time,
+    carrying the state from piece to piece, and multiplies each piece's
+    output into the photocurrent, so its one allocation is a block.
     """
     sample_rate = _signed("sample_rate", sample_rate)
     if isinstance(kernel, FlatKernel):
         if params.gain.imag != 0.0:
             raise ValueError("flat kernel needs a real gain")
-        return lambda chunk, current: np.multiply(params.gain.real, current, out=current)
+        return lambda current: np.multiply(params.gain.real, current, out=current)
     if isinstance(kernel, BandpassKernel):
         _resonator_domain(kernel, sample_rate)
         b, a = _peak_coefficients(kernel, sample_rate)
         linear_filter = _linear_filter()
-        import threading
+        state = np.zeros(2)
 
-        turn, state, next_chunk = threading.Condition(), np.zeros(2), 0
-
-        def step(chunk: int, photocurrent: np.ndarray) -> np.ndarray:
-            nonlocal state, next_chunk
-            with turn:
-                turn.wait_for(lambda: next_chunk == chunk)
-                try:
-                    for start in range(0, photocurrent.size, _BLOCK):
-                        piece = photocurrent[start : start + _BLOCK]
-                        filtered, state = linear_filter(b, a, piece, -1, state)
-                        np.multiply(kernel.gain, filtered, out=piece)
-                finally:
-                    next_chunk = chunk + 1
-                    turn.notify_all()
+        def step(photocurrent: np.ndarray) -> np.ndarray:
+            nonlocal state
+            for start in range(0, photocurrent.size, _BLOCK):
+                piece = photocurrent[start : start + _BLOCK]
+                filtered, state = linear_filter(b, a, piece, -1, state)
+                np.multiply(kernel.gain, filtered, out=piece)
             return photocurrent
 
         return step
@@ -328,8 +318,8 @@ def apply_kernel(
     step = _kernel_step(kernel, params, sample_rate)
     _stream("photocurrent", photocurrent)
     out = photocurrent.copy()
-    for chunk, start in enumerate(range(0, out.size, _CHUNK)):
-        step(chunk, out[start : start + _CHUNK])
+    for start in range(0, out.size, _CHUNK):
+        step(out[start : start + _CHUNK])
     return out
 
 
@@ -420,53 +410,59 @@ def _chunk_streams(
     return amplitude, photocurrent, phase
 
 
-def _parallel(fn, count: int) -> None:
-    """Call fn(0), ..., fn(count - 1): in order when one CPU is usable, else
-    on a thread per usable CPU.  numpy releases the GIL while drawing, in the
-    ufuncs and in the FFT, so the calls run in parallel; each must write only
-    its own slice of shared output.  A failed call's exception is re-raised."""
+def _parallel(fn, count: int):
+    """Yield fn(0), ..., fn(count - 1) in order: called in turn when one CPU
+    is usable, else on a thread per usable CPU.  Call i + workers is
+    submitted once the caller is done with result i, so at most `workers`
+    results are made and not yet done with.  numpy releases the GIL while
+    drawing, in the ufuncs and in the FFT, so the calls run in parallel;
+    each must write only its own slice of shared output.  A failed call's
+    exception is re-raised, and closing the generator waits for the calls
+    in flight."""
     workers = min(_usable_cpus(), count)
     if workers <= 1:
         for i in range(count):
-            fn(i)
+            yield fn(i)
         return
+    from collections import deque
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for _ in pool.map(fn, range(count)):
-            pass
+        calls = deque(pool.submit(fn, i) for i in range(workers))
+        for i in range(count):
+            yield calls.popleft().result()
+            if i + workers < count:
+                calls.append(pool.submit(fn, i + workers))
 
 
-def _realize(config: SimConfig, trial: int, step, rows, finish) -> None:
-    """One realization, the signal flow of simulate_streams and oracle_compare.
+def _realize(config: SimConfig, trial: int, step, rows):
+    """One realization, the signal flow of simulate_streams and
+    oracle_compare: yields each chunk's (amplitude, phase) in chunk order.
 
     Their callers build the kernel's step, which checks it, before they
     allocate a row.  On every usable CPU, _chunk_streams draws chunk k into
     rows(k), its amplitude and phase rows, and a _mapped photocurrent row of
-    the same length; the photocurrent goes through step in place, the
-    correction is added to the phase, and finish(amplitude, phase) runs, all
-    in the worker that drew the chunk.  Only a bandpass step waits, for the
-    chunk before, so the output does not depend on the thread count.
+    the same length.  The calling thread takes the chunks in order, runs
+    each photocurrent through step in place and adds the correction to the
+    phase, so a bandpass step sees the chunks in order and the output does
+    not depend on the thread count.  The photocurrent row is dropped before
+    the chunk is yielded.
     """
-    def run(chunk: int) -> None:
-        try:
-            amplitude, phase = rows(chunk)
-            amplitude, photocurrent, phase = _chunk_streams(
-                config, trial, chunk, (amplitude, _mapped(amplitude.size), phase)
-            )
-        except BaseException:
-            step(chunk, np.empty(0))  # passes the turn on: no chunk waits forever
-            raise
-        phase += step(chunk, photocurrent)
-        finish(amplitude, phase)
+    def draw(chunk: int):
+        amplitude, phase = rows(chunk)
+        return _chunk_streams(config, trial, chunk, (amplitude, _mapped(amplitude.size), phase))
 
-    _parallel(run, -(-config.n_samples // _CHUNK))
+    for amplitude, photocurrent, phase in _parallel(draw, -(-config.n_samples // _CHUNK)):
+        phase += step(photocurrent)
+        del photocurrent
+        yield amplitude, phase
 
 
 def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     """One realization of the output quadrature streams, through _realize:
-    each chunk is drawn into its slices of the two _mapped streams.  A trial
-    outside [0, 2^64) is refused before anything is loaded or allocated."""
+    each chunk is drawn into its slices of the two _mapped streams and
+    corrected there.  A trial outside [0, 2^64) is refused before anything
+    is loaded or allocated."""
     if not _is_uint64(trial):
         raise ValueError(f"trial must be an integer in [0, 2^64), got {trial!r}")
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
@@ -476,15 +472,17 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
         part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
         return amplitude[part], phase[part]
 
-    _realize(config, trial, step, rows, lambda amplitude, phase: None)
+    for _ in _realize(config, trial, step, rows):
+        pass
     return QuadratureStreams(amplitude=amplitude, phase=phase)
 
 
 def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
     """simulate_streams(config, trial).at_angle(phi), bit for bit, holding
     only the _mapped series whole: each chunk's amplitude is drawn into its
-    slice and projected there in at_angle's two steps, beside a _mapped
-    phase row of the chunk's own, which takes sin(phi) * phase in place."""
+    slice, beside a _mapped phase row of the chunk's own, and as _realize
+    yields the chunk it is projected there in at_angle's two steps, the
+    phase row taking sin(phi) * phase in place."""
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
     series = _mapped(config.n_samples)
     c, s = math.cos(phi), math.sin(phi)
@@ -493,11 +491,9 @@ def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
         amplitude = series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
         return amplitude, _mapped(amplitude.size)
 
-    def project(amplitude: np.ndarray, phase: np.ndarray) -> None:
+    for amplitude, phase in _realize(config, trial, step, rows):
         amplitude *= c
         amplitude += np.multiply(s, phase, out=phase)
-
-    _realize(config, trial, step, rows, project)
     return series
 
 
@@ -544,7 +540,8 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
             z = np.fft.rfft(segments[part], axis=1, out=_mapped(rows.shape, complex))
             np.true_divide(np.square(np.abs(z, out=rows), out=rows), seg_len, out=rows)
 
-    _parallel(fill_rows, -(-SEGMENT_COUNT // per_block))
+    for _ in _parallel(fill_rows, -(-SEGMENT_COUNT // per_block)):
+        pass
     variance = np.add.reduce(periodograms, axis=0)
     variance /= SEGMENT_COUNT
     if not np.isfinite(variance).all():

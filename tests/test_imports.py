@@ -6,9 +6,9 @@ cli._SCALAR_SWEEP_MAX points, which evaluate their formulas on Python floats
 with math, nor for the library's scalar formulas, nor for a refused run
 (tests/test_cli.py's REFUSALS checks that) or a refused trial.  Neither
 scipy nor scipy.signal loads at all: a bandpass kernel loads only scipy's
-compiled filter module, by file.  concurrent.futures loads only when a Monte
-Carlo run spans several chunks, and threading only once a bandpass kernel's
-step is built.
+compiled filter module, by file.  concurrent.futures, and threading with it,
+loads only when a Monte Carlo run spans several chunks on more than one
+usable CPU.
 dataclasses (which loads inspect) loads only for a caller of its functions:
 phaseff's records are built on algebra.Record, which those functions still
 accept.  csv loads only for fit, which reads a trace with it; CSV output is

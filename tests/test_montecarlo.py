@@ -8,6 +8,7 @@ import math
 import mmap
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -437,6 +438,52 @@ def chunk_streams(config, trial, chunk):
     return montecarlo._chunk_streams(config, trial, chunk, rows)
 
 
+class ChunkWatch:
+    """Wraps _chunk_streams and the kernel's step, by name in montecarlo.
+    `steps` lists the (thread id, chunk) of every step call in call order,
+    and `most` counts the most chunks ever drawn and not yet corrected.  Each
+    draw and each step sleeps `lag` seconds first, so that the threads
+    overlap; the step called after `fail_at` others raises at once."""
+
+    def __init__(self, monkeypatch, lag=0.0, fail_at=None):
+        self.steps, self.most, self.drawn, lock = [], 0, {}, threading.Lock()
+        draw, build = montecarlo._chunk_streams, montecarlo._kernel_step
+
+        def drawing(config, trial, chunk, rows):
+            time.sleep(lag)
+            streams = draw(config, trial, chunk, rows)
+            with lock:
+                self.drawn[id(streams[1])] = chunk  # the photocurrent row
+                self.most = max(self.most, len(self.drawn))
+            return streams
+
+        def building(*args):
+            step = build(*args)
+
+            def stepping(photocurrent):
+                if len(self.steps) == fail_at:
+                    raise RuntimeError("step failed")
+                time.sleep(lag)
+                self.steps.append((threading.get_ident(), self.drawn[id(photocurrent)]))
+                step(photocurrent)
+                with lock:
+                    del self.drawn[id(photocurrent)]
+                return photocurrent
+
+            return stepping
+
+        monkeypatch.setattr(montecarlo, "_chunk_streams", drawing)
+        monkeypatch.setattr(montecarlo, "_kernel_step", building)
+
+
+def many_chunks(monkeypatch, name, cpus):
+    """The named run as 17 chunks of 2^12 samples, the last a partial one,
+    on `cpus` usable CPUs."""
+    monkeypatch.setattr(montecarlo, "_CHUNK", 2**12)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    return chunked_config(name, n_samples=16 * 2**12 + 123)
+
+
 def untimed_draw():
     """One draw before tracemalloc starts, so a traced peak counts the run
     and not the lazy import of numpy.random on the process's first draw."""
@@ -679,9 +726,9 @@ class TestChunks:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_failing_chunk_raises(self, monkeypatch, cpus):
-        # a chunk whose draw fails still passes the resonator's turn on, so
-        # the chunks after it finish and the run raises the draw's error; the
-        # run is joined with a timeout, so a hang fails instead of stalling
+        # a chunk whose draw fails makes the run raise the draw's error once
+        # the draws in flight have ended; the run is joined with a timeout,
+        # so a hang fails instead of stalling
         original = montecarlo._chunk_streams
 
         def failing(config, trial, chunk, rows):
@@ -704,3 +751,39 @@ class TestChunks:
         thread.join(timeout=60)
         assert not thread.is_alive(), "simulate_streams hung after a failed chunk"
         assert raised == ["chunk 1 failed"]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["flat", "bandpass"])
+    def test_steps_run_on_the_caller_in_chunk_order(self, monkeypatch, name, cpus):
+        # the workers only draw, and the calling thread corrects the chunks
+        # in order; a chunk is drawn only once the caller is done with the
+        # one `workers` before it, so a lagging caller holds at most
+        # `workers` chunks drawn and not yet corrected
+        cfg = many_chunks(monkeypatch, name, cpus)
+        watch = ChunkWatch(monkeypatch, lag=0.002)
+        simulate_streams(cfg)
+        assert watch.steps == [(threading.get_ident(), chunk) for chunk in range(17)]
+        assert 1 <= watch.most <= cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["flat", "bandpass"])
+    def test_failing_step_raises_and_leaves_no_thread(self, monkeypatch, name, cpus):
+        # the second chunk's step raises on the calling thread: the run
+        # re-raises it once the draws in flight are done, and every drawing
+        # thread has ended; joined with a timeout, as above
+        cfg = many_chunks(monkeypatch, name, cpus)
+        ChunkWatch(monkeypatch, lag=0.02, fail_at=1)
+        before, raised = threading.active_count(), []
+
+        def run():
+            try:
+                simulate_streams(cfg)
+            except RuntimeError as error:
+                raised.append(str(error))
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive(), "simulate_streams hung after a failed step"
+        assert raised == ["step failed"]
+        assert threading.active_count() == before
