@@ -20,10 +20,9 @@ from typing import Mapping
 from .algebra import Record, _real, db_from_linear, linear_from_db, np
 from .montecarlo import SEGMENT_COUNT, FlatKernel, SimConfig, oracle_compare
 from .network import (
+    SPECTRUM_FORMULAS,
     NetworkParams,
     SnrReport,
-    _closed_form,
-    _from_modes,
     _reals,
     detected_variance,
     ideal_gain,
@@ -34,11 +33,6 @@ from .network import (
     signal_power_gain,
     transfer_ratio,
 )
-
-# Flag values accepted by --formula: network.spectrum_closed_form and
-# network.spectrum_from_modes as functions of (cos phi, sin phi, module),
-# their angle-free terms taken once per network.
-SPECTRUM_FORMULAS: Mapping[str, object] = {"paper": _closed_form, "coefficient": _from_modes}
 
 TRACE_HEADER = ("phase_rad", "variance_linear", "variance_db")
 
@@ -176,7 +170,7 @@ def run_sweep(
     MIN_SWEEP_POINTS to MAX_SWEEP_POINTS angles."""
     level = _level(params, SweepSettings(n_points, formula, detected))
     phase = np.linspace(0.0, _TWO_PI, n_points)
-    values = level(np.cos(phase), np.sin(phase), np)
+    values = level(np.cos(phase), np.sin(phase))
     level_db = np.array([db_from_linear(v) for v in values])
     return SweepTrace(
         phase=phase, variance_linear=values, variance_db=level_db, detected=detected
@@ -202,19 +196,19 @@ def _sweep_columns(params: NetworkParams, sweep: SweepSettings) -> _SweepColumns
     level = _level(params, sweep)
     step = _TWO_PI / (n - 1)
     phase = [i * step for i in range(n - 1)] + [_TWO_PI]
-    values = [level(math.cos(phi), math.sin(phi), math) for phi in phase]
+    values = [level(math.cos(phi), math.sin(phi)) for phi in phase]
     level_db = [db_from_linear(v) for v in values]
     return _SweepColumns(phase, values, level_db, sweep.detected)
 
 
 def _level(params: NetworkParams, sweep: SweepSettings):
     """Output quadrature variance by the sweep's formula, as a function of
-    (cos phi, sin phi, module), read through the verification stage
-    (efficiency eta_det2) when the sweep is detected."""
+    (cos phi, sin phi), two floats or two arrays, read through the
+    verification stage (efficiency eta_det2) when the sweep is detected."""
     level = SPECTRUM_FORMULAS[sweep.formula](params)
     if not sweep.detected:
         return level
-    return lambda c, s, xp: detected_variance(level(c, s, xp), params.eta_det2)
+    return lambda c, s: detected_variance(level(c, s), params.eta_det2)
 
 
 def _golden_section_min(func, lo: float, hi: float, tol: float) -> tuple[float, int]:
@@ -261,7 +255,7 @@ def fit_gain(trace: SweepTrace, params: NetworkParams, formula: str = "paper") -
     c, s = np.cos(trace.phase), np.sin(trace.phase)
 
     def objective(k: float) -> float:
-        residual = _level(params._replace(gain=k), sweep)(c, s, np) - target
+        residual = _level(params._replace(gain=k), sweep)(c, s) - target
         return float(np.mean(residual * residual))
 
     grid = np.linspace(0.0, FIT_K_MAX, 201)
@@ -495,7 +489,7 @@ def load_config(path: str) -> RunConfig:
 def _cmd_spectrum(args, config: RunConfig) -> dict:
     sweep = config.sweep
     phi = _real("--phi", args.phi)
-    value = _level(config.network, sweep)(math.cos(phi), math.sin(phi), math)
+    value = _level(config.network, sweep)(math.cos(phi), math.sin(phi))
     return {
         "phi_rad": phi,
         "formula": sweep.formula,

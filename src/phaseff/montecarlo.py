@@ -313,23 +313,20 @@ def apply_kernel(
     kernel: Kernel, photocurrent: np.ndarray, params: NetworkParams, sample_rate: float
 ) -> np.ndarray:
     """The feed-forward correction to a photocurrent stream, in a new array:
-    _kernel_step's step run over a copy's chunks of _CHUNK samples in order,
-    so it holds one chunk's filter output besides the result."""
+    _kernel_step's step run once over a copy, so it holds one block's filter
+    output besides the result."""
     step = _kernel_step(kernel, params, sample_rate)
     _stream("photocurrent", photocurrent)
-    out = photocurrent.copy()
-    for start in range(0, out.size, _CHUNK):
-        step(out[start : start + _CHUNK])
-    return out
+    return step(photocurrent.copy())
 
 
 def _chunk_streams(
     config: SimConfig, trial: int, chunk: int, rows: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The signal flow over samples [chunk * _CHUNK, (chunk + 1) * _CHUNK) of a
-    run: the output amplitude, the homodyne photocurrent and the output phase
-    before the feed-forward correction, written into `rows` (three arrays of
-    the chunk's length) and returned.
+    """The signal flow over chunk `chunk` of a run, the samples from
+    chunk * _CHUNK on, as many as the three `rows` hold: the output
+    amplitude, the homodyne photocurrent and the output phase before the
+    feed-forward correction, written into `rows` and returned.
 
     With x the input phase scaled to v_phase_in (plus the coherent tone, on
     the run's time axis, if configured):
@@ -356,9 +353,8 @@ def _chunk_streams(
     eps = p.epsilon
     eh, ed = p.eta_h1, p.eta_d1
     transmitted, tapped = math.sqrt(eps), math.sqrt(1.0 - eps)
-    start = chunk * _CHUNK
-    n = min(start + _CHUNK, config.n_samples) - start
     amplitude, photocurrent, phase = rows
+    start, n = chunk * _CHUNK, amplitude.size
     detectors, block, other = _mapped(n), _mapped(min(n, _BLOCK)), _mapped(min(n, _BLOCK))
     rng = _substream(config.seed, trial, chunk)
     modes = iter(_MODE_ORDER)
@@ -440,19 +436,22 @@ def _realize(config: SimConfig, trial: int, step, rows):
     oracle_compare: yields each chunk's (amplitude, phase) in chunk order.
 
     Their callers build the kernel's step, which checks it, before they
-    allocate a row.  On every usable CPU, _chunk_streams draws chunk k into
-    rows(k), its amplitude and phase rows, and a _mapped photocurrent row of
+    allocate a row.  The run is cut into _CHUNK-sample slices here, once.  On
+    every usable CPU, _chunk_streams draws chunk k into rows(part), the
+    amplitude and phase rows of its slice, and a _mapped photocurrent row of
     the same length.  The calling thread takes the chunks in order, runs
     each photocurrent through step in place and adds the correction to the
     phase, so a bandpass step sees the chunks in order and the output does
     not depend on the thread count.  The photocurrent row is dropped before
     the chunk is yielded.
     """
+    parts = [slice(start, start + _CHUNK) for start in range(0, config.n_samples, _CHUNK)]
+
     def draw(chunk: int):
-        amplitude, phase = rows(chunk)
+        amplitude, phase = rows(parts[chunk])
         return _chunk_streams(config, trial, chunk, (amplitude, _mapped(amplitude.size), phase))
 
-    for amplitude, photocurrent, phase in _parallel(draw, -(-config.n_samples // _CHUNK)):
+    for amplitude, photocurrent, phase in _parallel(draw, len(parts)):
         phase += step(photocurrent)
         del photocurrent
         yield amplitude, phase
@@ -468,8 +467,7 @@ def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
     amplitude, phase = _mapped(config.n_samples), _mapped(config.n_samples)
 
-    def rows(chunk: int):
-        part = slice(chunk * _CHUNK, (chunk + 1) * _CHUNK)
+    def rows(part: slice):
         return amplitude[part], phase[part]
 
     for _ in _realize(config, trial, step, rows):
@@ -487,8 +485,8 @@ def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
     series = _mapped(config.n_samples)
     c, s = math.cos(phi), math.sin(phi)
 
-    def rows(chunk: int):
-        amplitude = series[chunk * _CHUNK : (chunk + 1) * _CHUNK]
+    def rows(part: slice):
+        amplitude = series[part]
         return amplitude, _mapped(amplitude.size)
 
     for amplitude, phase in _realize(config, trial, step, rows):

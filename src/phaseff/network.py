@@ -44,9 +44,7 @@ class NetworkParams(Record):
             raise ValueError(f"v_phase_in must be >= 1 (vacuum units), got {v!r}")
         object.__setattr__(self, "v_phase_in", v)
         object.__setattr__(self, "gain", _complex("gain", self.gain))
-        weights = _phase_weights(self)
-        weights[_INPUT_PHASE] *= v  # the mode sum at the configured v_phase_in
-        if not math.isfinite(sum(weights)):
+        if not math.isfinite(phase_variance(self)):
             raise ValueError(
                 f"gain {self.gain!r} is too large: the output phase variance overflows a float"
             )
@@ -158,18 +156,18 @@ def spectrum_from_modes(params: NetworkParams, phi):
     cos(phi) * amplitude + sin(phi) * phase is folded into the sum in turn.
     """
     angles, xp = _namespace("phi", phi)
-    return _unwrap(_from_modes(params)(xp.cos(angles), xp.sin(angles), xp))
+    return _unwrap(_from_modes(params)(xp.cos(angles), xp.sin(angles)))
 
 
 def _from_modes(params: NetworkParams):
-    """spectrum_from_modes as a function of (cos phi, sin phi, module): the
-    table is read once, so a sweep evaluated angle by angle reads it once.
-    Each column's variance is vacuum, except v_phase_in on the input phase."""
+    """spectrum_from_modes as a function of (cos phi, sin phi): the table is
+    read once, so a sweep evaluated angle by angle reads it once.  Each
+    column's variance is vacuum, except v_phase_in on the input phase."""
     variances = [1.0] * len(NoiseMode)
     variances[_INPUT_PHASE] = params.v_phase_in
     columns = tuple(zip(*_table(params), variances))
 
-    def level(c, s, xp):
+    def level(c, s):
         total = 0.0
         for a, b, variance in columns:
             w = c * a + s * b
@@ -193,12 +191,14 @@ def spectrum_closed_form(params: NetworkParams, phi):
     with spectrum_from_modes.
     """
     angles, xp = _namespace("phi", phi)
-    return _unwrap(_closed_form(params)(xp.cos(angles), xp.sin(angles), xp))
+    return _unwrap(_closed_form(params)(xp.cos(angles), xp.sin(angles)))
 
 
 def _closed_form(params: NetworkParams):
-    """spectrum_closed_form as a function of (cos phi, sin phi, module): the
-    terms that do not depend on the angle are taken once."""
+    """spectrum_closed_form as a function of (cos phi, sin phi): the terms
+    that do not depend on the angle are taken once.  Its square root is
+    math's for a float (numpy's float64 is one), else numpy's, as in
+    _namespace; both round correctly, so the bits agree."""
     eps = params.epsilon
     eh, ed = params.eta_h1, params.eta_d1
     k = params.gain
@@ -219,7 +219,8 @@ def _closed_form(params: NetworkParams):
             f"gain {k!r} and epsilon {eps!r} overflow a float in the closed-form spectrum"
         ) from None
 
-    def level(c, s, xp):
+    def level(c, s):
+        sqrt = math.sqrt if isinstance(c, float) else np.sqrt
         # squared by multiplication, as numpy squares an array: a float's ** 2
         # is libm's pow, which differs from it in the last bit now and then
         s2, c2 = s * s, c * c
@@ -227,7 +228,7 @@ def _closed_form(params: NetworkParams):
         den = c2 + ratio2 * s2
         sin2a = ratio2 * s2 / den
         cos2a = c2 / den
-        prefactor = xp.sqrt(v * v / (sin2a + v * v * cos2a))
+        prefactor = sqrt(v * v / (sin2a + v * v * cos2a))
         return (
             prefactor * (eps * c2 + signal_gain * s2)
             + (1.0 - eps) * c2
@@ -238,10 +239,14 @@ def _closed_form(params: NetworkParams):
     return level
 
 
+# The spectrum formulas by name, as the --formula flag gives it.
+SPECTRUM_FORMULAS = {"paper": _closed_form, "coefficient": _from_modes}
+
+
 def phase_variance(params: NetworkParams) -> float:
     """Output phase-quadrature variance (angle pi/2), vacuum units: the mode
     sum at cos phi = 0, sin phi = 1."""
-    return _from_modes(params)(0.0, 1.0, math)
+    return _from_modes(params)(0.0, 1.0)
 
 
 def signal_power_gain(params: NetworkParams) -> float:

@@ -300,8 +300,10 @@ class TestKernels:
         assert math.isclose(rms_out, rms_in, rel_tol=1e-2)
 
     def test_bandpass_is_one_lfilter_call(self):
-        # the resonator state carries across chunks: a partial last chunk
-        # and every chunk boundary give the bits of one whole-array lfilter
+        # the resonator state carries from block to block within a step call
+        # (apply_kernel) and from call to call of one step, fed _CHUNK slices
+        # in order as _realize feeds it: both give the bits of one
+        # whole-array lfilter, a partial last block and chunk included
         from scipy import signal
 
         kern = BandpassKernel(center_hz=1000.0, bandwidth_hz=200.0, gain=2.5)
@@ -310,6 +312,11 @@ class TestKernels:
         b, a = signal.iirpeak(1000.0, 1000.0 / 200.0, fs=CHUNK_FS)
         want = 2.5 * signal.lfilter(b, a, x)
         assert np.array_equal(apply_kernel(kern, x, make_params(), CHUNK_FS), want)
+        step = montecarlo._kernel_step(kern, make_params(), CHUNK_FS)
+        chunked = x.copy()
+        for start in range(0, chunked.size, _CHUNK):
+            step(chunked[start : start + _CHUNK])
+        assert np.array_equal(chunked, want)
 
     def test_peak_coefficients_have_recorded_bits(self):
         # on any numpy and scipy, the closed form gives the b and a that
