@@ -20,10 +20,10 @@ from .network import NetworkParams, spectrum_from_modes
 # The analysis plan: every periodogram averages SEGMENT_COUNT segments of at
 # least MIN_SEGMENT samples, so a run or a series needs MIN_SAMPLES.  A run has
 # at most MAX_SAMPLES: a bandpass simulate_streams holds its two streams, 16 B
-# per sample, one chunk's photocurrent and scratch rows per worker, and one
-# block of filter output on the caller (17.3 B per sample in all, traced at
-# 2^22 samples on one CPU), so 2^27 samples fit in about 2 GiB, on every
-# machine alike (free memory is not read).
+# per sample, the photocurrent and scratch rows of one chunk per worker until
+# the caller corrects it, and one block of filter output on the caller (17.3 B
+# per sample in all, traced at 2^22 samples on one CPU), so 2^27 samples fit
+# in about 2 GiB, on every machine alike (free memory is not read).
 SEGMENT_COUNT, MIN_SEGMENT = 64, 1024
 MIN_SAMPLES, MAX_SAMPLES = SEGMENT_COUNT * MIN_SEGMENT, 2**27
 
@@ -284,7 +284,8 @@ def _kernel_step(kernel: Kernel, params: NetworkParams, sample_rate: float):
     values from call to call, so chunks given in order give the bits of one
     whole-array lfilter call.  It filters a chunk _BLOCK samples at a time,
     carrying the state from piece to piece, and multiplies each piece's
-    output into the photocurrent, so its one allocation is a block.
+    output into the photocurrent, so its one allocation is a block.  The
+    flat step carries no state, so any thread may run it on any chunk.
     """
     sample_rate = _signed("sample_rate", sample_rate)
     if isinstance(kernel, FlatKernel):
@@ -326,7 +327,8 @@ def _chunk_streams(
     """The signal flow over chunk `chunk` of a run, the samples from
     chunk * _CHUNK on, as many as the three `rows` hold: the output
     amplitude, the homodyne photocurrent and the output phase before the
-    feed-forward correction, written into `rows` and returned.
+    feed-forward correction, written into `rows` and returned.  It writes
+    nothing else, so chunks may be drawn on any threads in any order.
 
     With x the input phase scaled to v_phase_in (plus the coherent tone, on
     the run's time axis, if configured):
@@ -412,9 +414,10 @@ def _parallel(fn, count: int):
     submitted once the caller is done with result i, so at most `workers`
     results are made and not yet done with.  numpy releases the GIL while
     drawing, in the ufuncs and in the FFT, so the calls run in parallel;
-    each must write only its own slice of shared output.  A failed call's
-    exception is re-raised, and closing the generator waits for the calls
-    in flight."""
+    each must write only its own slice of shared output.  Work that must
+    run in order, such as a bandpass step, is the caller's, on the results
+    as they come.  A failed call's exception is re-raised, and closing the
+    generator waits for the calls in flight."""
     workers = min(_usable_cpus(), count)
     if workers <= 1:
         for i in range(count):
@@ -431,67 +434,62 @@ def _parallel(fn, count: int):
                 calls.append(pool.submit(fn, i + workers))
 
 
-def _realize(config: SimConfig, trial: int, step, rows):
-    """One realization, the signal flow of simulate_streams and
-    oracle_compare: yields each chunk's (amplitude, phase) in chunk order.
-
-    Their callers build the kernel's step, which checks it, before they
-    allocate a row.  The run is cut into _CHUNK-sample slices here, once.  On
-    every usable CPU, _chunk_streams draws chunk k into rows(part), the
-    amplitude and phase rows of its slice, and a _mapped photocurrent row of
-    the same length.  The calling thread takes the chunks in order, runs
-    each photocurrent through step in place and adds the correction to the
-    phase, so a bandpass step sees the chunks in order and the output does
-    not depend on the thread count.  The photocurrent row is dropped before
-    the chunk is yielded.
-    """
-    parts = [slice(start, start + _CHUNK) for start in range(0, config.n_samples, _CHUNK)]
-
-    def draw(chunk: int):
-        amplitude, phase = rows(parts[chunk])
-        return _chunk_streams(config, trial, chunk, (amplitude, _mapped(amplitude.size), phase))
-
-    for amplitude, photocurrent, phase in _parallel(draw, len(parts)):
-        phase += step(photocurrent)
-        del photocurrent
-        yield amplitude, phase
+def _chunks(n_samples: int) -> list[slice]:
+    """A run's _CHUNK-sample slices in chunk order, the last one partial."""
+    return [slice(start, start + _CHUNK) for start in range(0, n_samples, _CHUNK)]
 
 
 def simulate_streams(config: SimConfig, trial: int = 0) -> QuadratureStreams:
-    """One realization of the output quadrature streams, through _realize:
-    each chunk is drawn into its slices of the two _mapped streams and
-    corrected there.  A trial outside [0, 2^64) is refused before anything
-    is loaded or allocated."""
+    """One realization of the output quadrature streams, in two _mapped
+    streams.  A trial outside [0, 2^64) is refused before anything is
+    loaded or allocated, and the step, which checks the kernel, is built
+    before a stream is mapped.  On every usable CPU, _chunk_streams draws
+    chunk k into its slices of the streams and a _mapped photocurrent row of
+    its own.  The calling thread takes the chunks in order, runs each
+    photocurrent through the step in place and adds the correction to the
+    phase, so a bandpass step sees the chunks in order and the output does
+    not depend on the thread count."""
     if not _is_uint64(trial):
         raise ValueError(f"trial must be an integer in [0, 2^64), got {trial!r}")
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
     amplitude, phase = _mapped(config.n_samples), _mapped(config.n_samples)
+    parts = _chunks(config.n_samples)
 
-    def rows(part: slice):
-        return amplitude[part], phase[part]
+    def draw(chunk: int):
+        part = parts[chunk]
+        rows = amplitude[part], _mapped(amplitude[part].size), phase[part]
+        return _chunk_streams(config, trial, chunk, rows)[1:]
 
-    for _ in _realize(config, trial, step, rows):
-        pass
+    for photocurrent, chunk_phase in _parallel(draw, len(parts)):
+        chunk_phase += step(photocurrent)
+        del photocurrent  # before the next chunk is drawn
     return QuadratureStreams(amplitude=amplitude, phase=phase)
 
 
 def _projection(config: SimConfig, trial: int, phi: float) -> np.ndarray:
     """simulate_streams(config, trial).at_angle(phi), bit for bit, holding
-    only the _mapped series whole: each chunk's amplitude is drawn into its
-    slice, beside a _mapped phase row of the chunk's own, and as _realize
-    yields the chunk it is projected there in at_angle's two steps, the
-    phase row taking sin(phi) * phase in place."""
+    only the _mapped series whole.  For the flat kernel, the one
+    oracle_compare takes: its step carries no state, so each chunk is done
+    on the thread that draws it.  Its amplitude is drawn into its slice of
+    the series, beside _mapped photocurrent and phase rows of its own, the
+    correction is added to the phase, and the chunk is projected there in
+    at_angle's two steps, the phase row taking sin(phi) * phase in place.
+    A bandpass step would see the chunks out of order."""
     step = _kernel_step(config.kernel, config.params, config.sample_rate)
     series = _mapped(config.n_samples)
+    parts = _chunks(config.n_samples)
     c, s = math.cos(phi), math.sin(phi)
 
-    def rows(part: slice):
-        amplitude = series[part]
-        return amplitude, _mapped(amplitude.size)
-
-    for amplitude, phase in _realize(config, trial, step, rows):
+    def project(chunk: int) -> None:
+        amplitude = series[parts[chunk]]
+        rows = amplitude, _mapped(amplitude.size), _mapped(amplitude.size)
+        _, photocurrent, phase = _chunk_streams(config, trial, chunk, rows)
+        phase += step(photocurrent)
         amplitude *= c
         amplitude += np.multiply(s, phase, out=phase)
+
+    for _ in _parallel(project, len(parts)):
+        pass
     return series
 
 

@@ -302,7 +302,7 @@ class TestKernels:
     def test_bandpass_is_one_lfilter_call(self):
         # the resonator state carries from block to block within a step call
         # (apply_kernel) and from call to call of one step, fed _CHUNK slices
-        # in order as _realize feeds it: both give the bits of one
+        # in order as simulate_streams feeds it: both give the bits of one
         # whole-array lfilter, a partial last block and chunk included
         from scipy import signal
 
@@ -631,20 +631,15 @@ class TestChunks:
     @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize(
         "name, n_samples, chunk",
-        # 64 segments of 5,000 samples, each longer than a 4,096-sample _CHUNK;
-        # the bandpass run's 79 chunks each wait for the one before
-        [
-            ("tone", 5 * _CHUNK + 123, _CHUNK),
-            ("flat", 64 * 5000 + 5, 2**12),
-            ("bandpass", 64 * 5000 + 5, 2**12),
-        ],
+        # 64 segments of 5,000 samples, each longer than a 4,096-sample _CHUNK
+        [("tone", 5 * _CHUNK + 123, _CHUNK), ("flat", 64 * 5000 + 5, 2**12)],
     )
     def test_oracle_rows_are_the_whole_stream_estimate(
         self, monkeypatch, name, n_samples, chunk, cpus
     ):
-        # the shared flow with a projection is the whole streams' projection,
-        # for every kernel; oracle_compare, which refuses the bandpass kernel,
-        # gives the rows of its estimate
+        # for the flat kernel, the one oracle_compare takes, each chunk
+        # projected on the thread that drew it gives the whole streams'
+        # projection, and oracle_compare gives the rows of its estimate
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         cfg = chunked_config(name, n_samples=n_samples)
         angles = [0.3, math.pi / 2.0]
@@ -654,13 +649,11 @@ class TestChunks:
         sys.setswitchinterval(1e-6)  # interleave the chunk and block threads finely
         try:
             flowed = [montecarlo._projection(cfg, trial, phi) for trial, phi in enumerate(angles)]
-            report = oracle_compare(cfg, angles) if name != "bandpass" else None
+            report = oracle_compare(cfg, angles)
         finally:
             sys.setswitchinterval(interval)
         for got, whole in zip(flowed, wholes):
             assert np.array_equal(got, whole)
-        if report is None:
-            return
         want = []
         for whole in wholes:
             est = estimate_psd(whole, CHUNK_FS)
@@ -731,11 +724,21 @@ class TestChunks:
             tracemalloc.stop()
         assert peak / samples <= bound
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_failing_chunk_raises(self, monkeypatch, cpus):
+    @pytest.mark.parametrize(
+        "flow, cpus",
+        [
+            *((functools.partial(simulate_streams, chunked_config("bandpass")), cpus)
+              for cpus in (1, 2, 3)),
+            # the oracle corrects and projects each chunk on its worker
+            *((functools.partial(oracle_compare, chunked_config("flat"), [0.0]), cpus)
+              for cpus in (1, 2, 3)),
+        ],
+        ids=["1", "2", "3", "oracle-1", "oracle-2", "oracle-3"],
+    )
+    def test_failing_chunk_raises(self, monkeypatch, flow, cpus):
         # a chunk whose draw fails makes the run raise the draw's error once
-        # the draws in flight have ended; the run is joined with a timeout,
-        # so a hang fails instead of stalling
+        # the draws in flight have ended, with no thread left running; the
+        # run is joined with a timeout, so a hang fails instead of stalling
         original = montecarlo._chunk_streams
 
         def failing(config, trial, chunk, rows):
@@ -745,19 +748,20 @@ class TestChunks:
 
         monkeypatch.setattr(montecarlo, "_chunk_streams", failing)
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        raised = []
+        before, raised = threading.active_count(), []
 
         def run():
             try:
-                simulate_streams(chunked_config("bandpass"))
+                flow()
             except MemoryError as error:
                 raised.append(str(error))
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
         thread.join(timeout=60)
-        assert not thread.is_alive(), "simulate_streams hung after a failed chunk"
+        assert not thread.is_alive(), "the run hung after a failed chunk"
         assert raised == ["chunk 1 failed"]
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("name", ["flat", "bandpass"])

@@ -295,6 +295,16 @@ def _operating_points():
 
 OPERATING_POINTS = _operating_points()
 
+# The table keeps the vacuum's commutator [X_out, Y_out] when, over the two
+# optical modes, amplitude weight times phase weight sums to 1.  The gain
+# terms cancel, so the rounding grows with the gain: the bound is 4 ulp of 1
+# times (1 + |K|), fixed before the first run.
+OPTICAL_MODES = [
+    (NoiseMode.INPUT_AMPLITUDE, NoiseMode.INPUT_PHASE),
+    (NoiseMode.TAP_VACUUM_AMPLITUDE, NoiseMode.TAP_VACUUM_PHASE),
+]
+COMMUTATOR_ULPS = 4
+
 
 class TestScalarPathBits:
     """The Python-number table and gains against the array arithmetic they
@@ -305,6 +315,10 @@ class TestScalarPathBits:
         want = _array_table(p)
         assert np.array(_table(p), dtype=complex).tobytes() == want.tobytes()
         assert mode_coefficients(p).tobytes() == want.tobytes()
+        amplitude, phase = _table(p)
+        commutator = sum(amplitude[column(a)] * phase[column(b)] for a, b in OPTICAL_MODES)
+        bound = COMMUTATOR_ULPS * np.finfo(float).eps * (1.0 + abs(p.gain))
+        assert abs(commutator - 1.0) <= bound, commutator
 
     @pytest.mark.parametrize("p", OPERATING_POINTS)
     def test_gains_and_variances_keep_their_bits(self, p):
