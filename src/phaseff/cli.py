@@ -254,6 +254,7 @@ def fit_gain(trace: SweepTrace, params: NetworkParams, formula: str = "paper") -
     target = trace.variance_linear
     c, s = np.cos(trace.phase), np.sin(trace.phase)
 
+    @np.errstate(over="ignore")  # an overflowing objective is refused below
     def objective(k: float) -> float:
         residual = _level(params._replace(gain=k), sweep)(c, s) - target
         return float(np.mean(residual * residual))
@@ -261,6 +262,11 @@ def fit_gain(trace: SweepTrace, params: NetworkParams, formula: str = "paper") -
     grid = np.linspace(0.0, FIT_K_MAX, 201)
     values = [objective(k) for k in grid]
     best = int(np.argmin(values))
+    if not math.isfinite(values[best]):
+        raise ValueError(
+            f"the trace's mean squared residual is not finite at any gain on the "
+            f"[0, {FIT_K_MAX:g}] grid: there is no fit to report"
+        )
     if best == grid.size - 1:
         raise ValueError(
             f"the best gain on the [0, {FIT_K_MAX:g}] grid is its bound k_max={FIT_K_MAX:g}: "
@@ -454,6 +460,16 @@ def _gain(value, label: str):
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, once no key appears in it twice."""
+    block = dict(pairs)
+    if len(block) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        raise ValueError(f"repeated keys in a config block: {repeated}")
+    return block
+
+
 def load_config(path: str) -> RunConfig:
     """Parse a JSON run config.
 
@@ -463,9 +479,10 @@ def load_config(path: str) -> RunConfig:
     levels) blocks.  Unknown keys anywhere are an error, a "kernel" in the
     simulation block too: montecarlo, the one subcommand that runs the
     block, compares the flat kernel against the single-frequency model.
+    A key that appears twice in one block is an error too.
     """
     with open(path) as handle:
-        data = json.load(handle)
+        data = json.load(handle, object_pairs_hook=_unique_keys)
     blocks = _checked(RunConfig, data, "top-level")
     network = _build(NetworkParams, blocks["network"], "network", {"gain": _gain})
     config = {"network": network}

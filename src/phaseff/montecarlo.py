@@ -417,7 +417,10 @@ def _parallel(fn, count: int):
     each must write only its own slice of shared output.  Work that must
     run in order, such as a bandpass step, is the caller's, on the results
     as they come.  A failed call's exception is re-raised, and closing the
-    generator waits for the calls in flight."""
+    generator waits for the calls in flight.  numpy's error state is per
+    thread, so it is set here, per call: overflow and invalid warnings off,
+    as a non-finite result is refused once, on estimate_psd's bins."""
+    fn = np.errstate(over="ignore", invalid="ignore")(fn)
     workers = min(_usable_cpus(), count)
     if workers <= 1:
         for i in range(count):
@@ -512,9 +515,9 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     are transformed in blocks of about _CHUNK samples on every usable CPU,
     each into _mapped spectrum rows of its own and from there, in place,
     into the _mapped periodogram; the result does not depend on the thread
-    count.  The mean and the standard error are formed in the periodogram
-    rows themselves, in the steps of numpy's mean(axis=0) and
-    std(axis=0, ddof=1), so they have those bits and no temporary of the
+    count.  The mean is numpy's mean(axis=0); the standard error is formed
+    in the periodogram rows themselves, in the steps of numpy's
+    std(axis=0, ddof=1), so it has those bits and no temporary of the
     periodogram's size is made.  A series with a NaN or inf sample, or
     whose periodogram overflows, is refused once its bins are formed, so
     the samples are never scanned.
@@ -530,16 +533,12 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     def fill_rows(block: int) -> None:
         part = slice(block * per_block, (block + 1) * per_block)
         rows = periodograms[part]
-        # a non-finite sample is refused below, once, not warned of here too;
-        # numpy's error state is per thread, so it is set on each worker
-        with np.errstate(invalid="ignore", over="ignore"):
-            z = np.fft.rfft(segments[part], axis=1, out=_mapped(rows.shape, complex))
-            np.true_divide(np.square(np.abs(z, out=rows), out=rows), seg_len, out=rows)
+        z = np.fft.rfft(segments[part], axis=1, out=_mapped(rows.shape, complex))
+        np.true_divide(np.square(np.abs(z, out=rows), out=rows), seg_len, out=rows)
 
     for _ in _parallel(fill_rows, -(-SEGMENT_COUNT // per_block)):
         pass
-    variance = np.add.reduce(periodograms, axis=0)
-    variance /= SEGMENT_COUNT
+    variance = periodograms.mean(axis=0)
     if not np.isfinite(variance).all():
         raise ValueError("series has non-finite PSD bins: a NaN or inf sample, or overflow")
     periodograms -= variance

@@ -80,10 +80,11 @@ MISSING = object()  # a config path with no file
 EVERY = tuple(name for name, _, _ in cli._COMMANDS)  # every subcommand
 POINTS_RULE = f"points must be an integer from 8 to {MAX_SWEEP_POINTS}, got"
 
-# The one table of refused runs: (case id, config, flags, the subcommands that
-# refuse it, the one line each writes to stderr).  Every subcommand loads the
-# config and main folds the flags named after config fields before any
-# subcommand runs, so a refusal there is made by every subcommand, EVERY.
+# The one table of refused runs: (case id, config or its JSON text, flags, the
+# subcommands that refuse it, the one line each writes to stderr).  Every
+# subcommand loads the config and main folds the flags named after config
+# fields before any subcommand runs, so a refusal there is made by every
+# subcommand, EVERY.
 REFUSALS = [
     # the network block
     ("epsilon-bool", edited("network", "epsilon", True), [], EVERY,
@@ -186,6 +187,9 @@ REFUSALS = [
     # only montecarlo runs the time domain, which needs a real gain
     ("complex-gain", edited("network", "gain", [3.2, 0.5]), [], ["montecarlo"],
      "error: flat kernel needs a real gain"),
+    # a key given twice, in JSON text a dict cannot hold: json would keep the last
+    ("gain-repeated", json.dumps(BASE_CONFIG).replace('"gain": 3.2', '"gain": 3.2, "gain": 1.0'),
+     [], EVERY, "error: repeated keys in a config block: ['gain']"),
 ]
 
 # main on each argv of runs.json, in this one interpreter, until a run loads
@@ -220,7 +224,8 @@ def refused_runs(tmp_path_factory):
     runs = {}
     for name, config, flags, commands, _ in REFUSALS:
         if config is not MISSING:
-            (workdir / f"{name}.json").write_text(json.dumps(config))
+            text = config if isinstance(config, str) else json.dumps(config)
+            (workdir / f"{name}.json").write_text(text)
         for command in commands:
             head = [command, "none.csv"] if command == "fit" else [command]
             out = f"{name}-{command}.out"
@@ -631,13 +636,41 @@ class TestEmitAndLoad:
         with pytest.raises(ValueError, match="3 columns"):
             load_trace_csv(str(bad))
 
-    def test_no_file_when_directory_invalid(self, tmp_path):
-        blocker = tmp_path / "not-a-dir"
-        blocker.write_text("")
-        target = blocker / "out.csv"
+    # a file as the target's directory fails mkstemp; a directory as the
+    # target fails os.replace, after the temp file is made
+    @pytest.mark.parametrize(
+        "target", ["not-a-dir/out.csv", "a-dir"], ids=["file-as-directory", "directory-as-target"]
+    )
+    def test_no_file_when_directory_invalid(self, tmp_path, target):
+        (tmp_path / "not-a-dir").write_text("")
+        (tmp_path / "a-dir").mkdir()
         with pytest.raises(OSError, match="cannot write"):
-            emit({"a": 1.0}, str(target), "json")
-        assert not target.exists()
+            emit({"a": 1.0}, str(tmp_path / target), "json")
+        # no output and no .phaseff-*.tmp file, in the parent or the directory
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a-dir", "not-a-dir"]
+        assert not any((tmp_path / "a-dir").iterdir())
+
+
+def _nan_cell_trace(path):
+    """A sweep trace with a NaN phase in data row 5; returns the error it gets."""
+    emit(run_sweep(BENCH, n_points=361), str(path), "csv")
+    lines = path.read_text().splitlines()
+    lines[6] = "nan," + lines[6].split(",", 1)[1]  # row 6 is data row 5
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}:7: phase must be finite, got nan"
+
+
+def _overflowing_trace(path):
+    """A trace at levels of 1e200, whose squared residual overflows a float at
+    every grid gain; returns the error it gets, with no warning."""
+    phase = np.linspace(0.0, 2.0 * math.pi, 361)
+    variance = 1e200 * (2.0 + np.sin(phase) ** 2)
+    db = np.array([db_from_linear(v) for v in variance])
+    emit(SweepTrace(phase=phase, variance_linear=variance, variance_db=db), str(path), "csv")
+    return (
+        "the trace's mean squared residual is not finite at any gain on the "
+        "[0, 10] grid: there is no fit to report"
+    )
 
 
 class TestCliCommands:
@@ -737,16 +770,15 @@ class TestCliCommands:
         assert data["detected"] is True
         assert data["n_points"] == 361
 
-    def test_fit_on_non_finite_cell_fails_in_one_short_line(self, tmp_path, capsys, config_path):
+    @pytest.mark.parametrize(
+        "write_trace", [_nan_cell_trace, _overflowing_trace], ids=["nan-cell", "overflowing"]
+    )
+    def test_fit_refusal_is_one_short_line(self, tmp_path, capsys, config_path, write_trace):
         trace_path = tmp_path / "trace.csv"
-        emit(run_sweep(BENCH, n_points=361), str(trace_path), "csv")
-        lines = trace_path.read_text().splitlines()
-        lines[6] = "nan," + lines[6].split(",", 1)[1]  # row 6 is data row 5
-        trace_path.write_text("\n".join(lines) + "\n")
+        message = write_trace(trace_path)
         assert main(["fit", str(trace_path), "--config", config_path]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {trace_path}:7: phase must be finite, got nan\n"
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
     def test_complex_gain_runs_in_optimize(self, tmp_path, capsys):
         # the analytic formulas take a complex gain; montecarlo refuses it (REFUSALS)

@@ -28,6 +28,7 @@ from phaseff import (
     apply_kernel,
     band_average,
     estimate_psd,
+    load_config,
     oracle_compare,
     simulate_streams,
     spectrum_from_modes,
@@ -40,6 +41,7 @@ DUR = 1.0  # 64 segments of 1024 samples
 
 SCIPY_VERSION = tuple(int(part) for part in version("scipy").split(".")[:2])
 PEAK_COEFFICIENTS = Path(__file__).parent / "golden" / "peak_coefficients.txt"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _recorded_peak_coefficients():
@@ -186,6 +188,32 @@ class TestStreams:
         assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
+def _psd_of_series_ending_in(bad, segment):
+    series = np.ones(64 * segment)
+    series[-1] = bad
+    estimate_psd(series, FS)
+
+
+def _oracle_with_overflowing_tone(path, **tone):
+    # a tone of amplitude 1.7e308 overflows the corrected phase
+    sim = load_config(str(ROOT / path)).simulation
+    oracle_compare(sim._replace(signal_amplitude=1.7e308, **tone), [math.pi / 2.0])
+
+
+# (case id, a run estimate_psd must refuse on two usable CPUs): 64 segments of
+# 1,024 samples are one block on the calling thread; of 8,192 samples, two
+# blocks of 32 segments, one per worker thread.  The example config's run is
+# one chunk on the serial branch; multichunk.json's, six chunks on two threads.
+NON_FINITE = [
+    *((f"{segment}-{bad}", functools.partial(_psd_of_series_ending_in, bad, segment))
+      for segment in (1024, 8192) for bad in (math.nan, math.inf)),
+    ("oracle-example-tone", functools.partial(
+        _oracle_with_overflowing_tone, "configs/example.json", signal_frequency=1000.0)),
+    ("oracle-multichunk-tone",
+     functools.partial(_oracle_with_overflowing_tone, "tests/configs/multichunk.json")),
+]
+
+
 class TestEstimatePsd:
     def test_white_noise_calibrates_to_unity(self):
         rng = np.random.Generator(np.random.Philox(key=np.array([9, 0], dtype=np.uint64)))
@@ -242,18 +270,13 @@ class TestEstimatePsd:
         assert np.array_equal(est.standard_error, want_se)
         assert np.array_equal(est.frequencies, np.fft.rfftfreq(m, d=1.0 / FS))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    # 64 segments of 1,024 samples are one block on the calling thread; of
-    # 8,192 samples, two blocks of 32 segments, one per worker thread
-    @pytest.mark.parametrize("segment", [1024, 8192])
-    def test_non_finite_series_raises_only_the_error(self, monkeypatch, bad, segment):
+    @pytest.mark.parametrize("run", [run for _, run in NON_FINITE], ids=[i for i, _ in NON_FINITE])
+    def test_non_finite_series_raises_only_the_error(self, monkeypatch, run):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
-        series = np.ones(64 * segment)
-        series[-1] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite PSD bins"):
-                estimate_psd(series, FS)
+                run()
 
     def test_band_average_masks_tone(self):
         m, n_seg = 1024, 64
