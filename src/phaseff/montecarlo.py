@@ -408,19 +408,29 @@ def _chunk_streams(
     return amplitude, photocurrent, phase
 
 
+def _quiet(fn):
+    """fn, run with numpy's overflow and invalid warnings off on whichever
+    thread calls it; the check that reads its result refuses a non-finite one."""
+
+    @functools.wraps(fn)
+    def quiet(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fn(*args, **kwargs)
+
+    return quiet
+
+
 def _parallel(fn, count: int):
     """Yield fn(0), ..., fn(count - 1) in order: called in turn when one CPU
     is usable, else on a thread per usable CPU.  Call i + workers is
     submitted once the caller is done with result i, so at most `workers`
     results are made and not yet done with.  numpy releases the GIL while
     drawing, in the ufuncs and in the FFT, so the calls run in parallel;
-    each must write only its own slice of shared output.  Work that must
-    run in order, such as a bandpass step, is the caller's, on the results
-    as they come.  A failed call's exception is re-raised, and closing the
-    generator waits for the calls in flight.  numpy's error state is per
-    thread, so it is set here, per call: overflow and invalid warnings off,
-    as a non-finite result is refused once, on estimate_psd's bins."""
-    fn = np.errstate(over="ignore", invalid="ignore")(fn)
+    each must write only its own slice of shared output.  Work that must run
+    in order, such as a bandpass step, is the caller's, on the results as
+    they come.  A failed call's exception is re-raised, and closing the
+    generator waits for the calls in flight.  Each call runs _quiet."""
+    fn = _quiet(fn)
     workers = min(_usable_cpus(), count)
     if workers <= 1:
         for i in range(count):
@@ -504,6 +514,7 @@ class PsdEstimate(Record, eq=False):
     standard_error: np.ndarray
 
 
+@_quiet
 def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     """Averaged periodogram over the analysis plan's SEGMENT_COUNT equal,
     non-overlapping rectangular segments; samples past the last are dropped.
@@ -516,12 +527,10 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     each into _mapped spectrum rows of its own and from there, in place,
     into the _mapped periodogram; the result does not depend on the thread
     count.  The mean is numpy's mean(axis=0); the standard error is formed
-    in the periodogram rows themselves, in the steps of numpy's
-    std(axis=0, ddof=1), so it has those bits and no temporary of the
-    periodogram's size is made.  A series with a NaN or inf sample, or
-    whose periodogram overflows, is refused once its bins are formed, so
-    the samples are never scanned.
-    """
+    in the periodogram rows themselves, in the steps of numpy's std(axis=0,
+    ddof=1), so it has those bits and no temporary of their size is made.
+    Both run _quiet; a NaN or inf sample, or an overflow, is refused once
+    they are formed, so the samples are never scanned."""
     _stream("series", series)
     sample_rate = _signed("sample_rate", sample_rate)
     _long_enough("series", series.size)
@@ -539,20 +548,21 @@ def estimate_psd(series, sample_rate: float) -> PsdEstimate:
     for _ in _parallel(fill_rows, -(-SEGMENT_COUNT // per_block)):
         pass
     variance = periodograms.mean(axis=0)
-    if not np.isfinite(variance).all():
-        raise ValueError("series has non-finite PSD bins: a NaN or inf sample, or overflow")
     periodograms -= variance
     np.multiply(periodograms, periodograms, out=periodograms)
     standard_error = np.add.reduce(periodograms, axis=0)
     standard_error /= SEGMENT_COUNT - 1
     np.sqrt(standard_error, out=standard_error)
     standard_error /= math.sqrt(SEGMENT_COUNT)
+    if not (np.isfinite(variance).all() and np.isfinite(standard_error).all()):
+        raise ValueError("series has non-finite PSD bins: a NaN or inf sample, or overflow")
     frequencies = np.fft.rfftfreq(seg_len, d=1.0 / sample_rate)
     return PsdEstimate(
         frequencies=frequencies, variance=variance, standard_error=standard_error
     )
 
 
+@_quiet
 def band_average(
     estimate: PsdEstimate,
     exclude_hz: float | None = None,
@@ -561,9 +571,9 @@ def band_average(
     """Mean PSD over interior bins, with a combined standard error.
 
     DC and Nyquist are always dropped; bins within exclude_width_hz (>= 0)
-    of exclude_hz (a coherent tone) can be masked out too.  Bins are treated as
-    independent, which is exact for white input.
-    """
+    of exclude_hz (a coherent tone) can be masked out too.  Bins are treated
+    as independent, exact for white input.  The sums run _quiet, and a
+    non-finite mean or standard error is refused."""
     width = _signed("exclude_width_hz", exclude_width_hz, ">=")
     n_bins = estimate.variance.size
     if n_bins < 3:
@@ -577,6 +587,8 @@ def band_average(
         raise ValueError("exclusion mask removed every bin")
     mean = float(estimate.variance[mask].mean())
     se = float(np.sqrt(np.sum(estimate.standard_error[mask] ** 2)) / kept)
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise ValueError(f"band average is not finite: mean {mean!r}, standard error {se!r}")
     return mean, se
 
 

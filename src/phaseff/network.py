@@ -202,7 +202,7 @@ def _closed_form(params: NetworkParams):
     eps = params.epsilon
     eh, ed = params.eta_h1, params.eta_d1
     k = params.gain
-    v = params.v_phase_in
+    v2 = params.v_phase_in * params.v_phase_in
 
     weights = _phase_weights(params)
     signal_gain = weights[_INPUT_PHASE]
@@ -218,6 +218,10 @@ def _closed_form(params: NetworkParams):
         raise ValueError(
             f"gain {k!r} and epsilon {eps!r} overflow a float in the closed-form spectrum"
         ) from None
+    if v2 == math.inf:
+        raise ValueError(
+            f"v_phase_in {params.v_phase_in!r} overflows a float in the closed-form spectrum"
+        )
 
     def level(c, s):
         sqrt = math.sqrt if isinstance(c, float) else np.sqrt
@@ -228,7 +232,7 @@ def _closed_form(params: NetworkParams):
         den = c2 + ratio2 * s2
         sin2a = ratio2 * s2 / den
         cos2a = c2 / den
-        prefactor = sqrt(v * v / (sin2a + v * v * cos2a))
+        prefactor = sqrt(v2 / (sin2a + v2 * cos2a))
         return (
             prefactor * (eps * c2 + signal_gain * s2)
             + (1.0 - eps) * c2

@@ -30,7 +30,7 @@ from phaseff import (
 )
 from phaseff import cli
 from phaseff.cli import MAX_SWEEP_POINTS, main
-from test_golden import run_python
+from test_golden import CONFIG, run_python
 
 V_IN = 10.0**0.86
 BENCH = NetworkParams(
@@ -184,6 +184,10 @@ REFUSALS = [
      {**BASE_CONFIG, "network": {**BASE_CONFIG["network"], "epsilon": 1e-300, "gain": 1e5}},
      [], ["spectrum", "sweep"],
      "error: gain (100000+0j) and epsilon 1e-300 overflow a float in the closed-form spectrum"),
+    # v_phase_in^2 overflows in the closed form's prefactor; the mode sum is finite
+    ("closed-form-v-phase-in-overflows", edited("network", "v_phase_in", 1e200), [],
+     ["spectrum", "sweep"],
+     "error: v_phase_in 1e+200 overflows a float in the closed-form spectrum"),
     # only montecarlo runs the time domain, which needs a real gain
     ("complex-gain", edited("network", "gain", [3.2, 0.5]), [], ["montecarlo"],
      "error: flat kernel needs a real gain"),
@@ -779,6 +783,24 @@ class TestCliCommands:
         assert main(["fit", str(trace_path), "--config", config_path]) == 1
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "block, fields",
+        [("network", {"v_phase_in": 1e152}),
+         ("simulation", {"signal_amplitude": 1e120, "signal_frequency": 1000.3})],
+        ids=["v-phase-in-1e152", "tone-1e120-at-1000.3"],
+    )
+    def test_montecarlo_refusal_is_one_short_line(self, tmp_path, capsys, block, fields):
+        # the example run's bins are finite, and their standard error overflows
+        with open(CONFIG) as handle:
+            config = json.load(handle)
+        config[block].update(fields)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert main(["montecarlo", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        line = "error: series has non-finite PSD bins: a NaN or inf sample, or overflow\n"
+        assert (captured.out, captured.err) == ("", line)
 
     def test_complex_gain_runs_in_optimize(self, tmp_path, capsys):
         # the analytic formulas take a complex gain; montecarlo refuses it (REFUSALS)

@@ -5,10 +5,11 @@ must equal.  A CLI entry runs `phaseff.cli.main` in-process and pins what it
 wrote, to stdout or to its --out file: the six README commands on
 configs/example.json, their `coefficient` formula variants and `--format`
 overrides of the default rendering.  An entry that starts with PYTHON runs a
-fresh interpreter with src first on the path and pins its stdout: the Monte
-Carlo run on tests/configs/multichunk.json, whose runs span several noise
-chunks, pinned to one CPU, and scripts/mc_check.py, a second pin of the Monte
-Carlo realization, through the library.  The entries named after a script
+fresh interpreter with src first on the path and RuntimeWarning an error, as
+pyproject.toml makes it in-process, and pins its stdout: the Monte Carlo run
+on tests/configs/multichunk.json, whose runs span several noise chunks,
+pinned to one CPU, and scripts/mc_check.py, a second pin of the Monte Carlo
+realization, through the library.  The entries named after a script
 pin nothing: the script must exit 0.  Regenerate the golden files, the
 stdout of mc_check.py included, only when an output change is intended:
 
@@ -110,7 +111,7 @@ def run_python(args, cwd) -> bytes:
 def run_case(argv, workdir: Path) -> bytes:
     """Run one entry; return its --out file if it has one, else stdout."""
     if argv[0] == PYTHON:
-        return run_python(argv[1:], workdir)
+        return run_python(["-W", "error::RuntimeWarning", *argv[1:]], workdir)
     out_path = workdir / "out"
     argv = [str(out_path) if arg == OUT else arg for arg in argv]
     stdout = io.StringIO()

@@ -23,6 +23,7 @@ from phaseff import (
     FlatKernel,
     NetworkParams,
     NoiseMode,
+    PsdEstimate,
     QuadratureStreams,
     SimConfig,
     apply_kernel,
@@ -194,23 +195,42 @@ def _psd_of_series_ending_in(bad, segment):
     estimate_psd(series, FS)
 
 
-def _oracle_with_overflowing_tone(path, **tone):
-    # a tone of amplitude 1.7e308 overflows the corrected phase
+def _psd_of_series_with_loud_first_segment():
+    # finite bins, about 1e278, whose squared deviations overflow
+    series = np.zeros(65536)
+    rng = np.random.Generator(np.random.Philox(key=np.array([23, 0], dtype=np.uint64)))
+    series[:1024] = rng.standard_normal(1024) * 1e140
+    estimate_psd(series, FS)
+
+
+def _oracle_at_phase(path, network=(), **simulation):
+    # the config's run at phi = pi/2, with its network and simulation fields replaced
     sim = load_config(str(ROOT / path)).simulation
-    oracle_compare(sim._replace(signal_amplitude=1.7e308, **tone), [math.pi / 2.0])
+    params = sim.params._replace(**dict(network))
+    oracle_compare(sim._replace(params=params, **simulation), [math.pi / 2.0])
 
 
 # (case id, a run estimate_psd must refuse on two usable CPUs): 64 segments of
 # 1,024 samples are one block on the calling thread; of 8,192 samples, two
 # blocks of 32 segments, one per worker thread.  The example config's run is
 # one chunk on the serial branch; multichunk.json's, six chunks on two threads.
+# A tone of amplitude 1.7e308 overflows the corrected phase; at v_phase_in
+# 1e152, or with a 1e120 tone off its bin whose leakage passes the mask, the
+# bins are finite and their standard error overflows.
 NON_FINITE = [
     *((f"{segment}-{bad}", functools.partial(_psd_of_series_ending_in, bad, segment))
       for segment in (1024, 8192) for bad in (math.nan, math.inf)),
+    ("series-se-overflow", _psd_of_series_with_loud_first_segment),
     ("oracle-example-tone", functools.partial(
-        _oracle_with_overflowing_tone, "configs/example.json", signal_frequency=1000.0)),
-    ("oracle-multichunk-tone",
-     functools.partial(_oracle_with_overflowing_tone, "tests/configs/multichunk.json")),
+        _oracle_at_phase, "configs/example.json",
+        signal_amplitude=1.7e308, signal_frequency=1000.0)),
+    ("oracle-multichunk-tone", functools.partial(
+        _oracle_at_phase, "tests/configs/multichunk.json", signal_amplitude=1.7e308)),
+    ("oracle-example-v1e152", functools.partial(
+        _oracle_at_phase, "configs/example.json", network={"v_phase_in": 1e152})),
+    ("oracle-example-tone-1000.3", functools.partial(
+        _oracle_at_phase, "configs/example.json",
+        signal_amplitude=1e120, signal_frequency=1000.3)),
 ]
 
 
@@ -277,6 +297,20 @@ class TestEstimatePsd:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite PSD bins"):
                 run()
+
+    def test_band_average_refuses_an_overflowing_standard_error(self):
+        # finite bins whose summed squared standard errors overflow
+        n_bins = 32769
+        est = PsdEstimate(
+            frequencies=np.arange(n_bins, dtype=float),
+            variance=np.full(n_bins, 1e153),
+            standard_error=np.full(n_bins, 1e152),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = "^band average is not finite: mean .*, standard error inf$"
+            with pytest.raises(ValueError, match=message):
+                band_average(est)
 
     def test_band_average_masks_tone(self):
         m, n_seg = 1024, 64
